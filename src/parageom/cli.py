@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from .errors import BasePointNotFound, GenerationError, ParageomError, ShapeError
+from .errors import BasePointNotFound, ParageomError, ShapeError
 from .hypersurface import (
     DEFAULT_NUM_SAMPLES,
     DEFAULT_SAMPLE_BOX,
@@ -62,53 +62,52 @@ class SceneFileError(ValueError):
 # scene file schema
 
 
+def _number(value, path, integer=False):
+    """A JSON number at ``path``: an integer, or any number in float range."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise SceneFileError(f"{path}: expected {'an integer' if integer else 'a number'}")
+    if not integer and not abs(value) <= sys.float_info.max:
+        raise SceneFileError(f"{path}: expected a finite number")
+    return value if integer else float(value)
+
+
 def _need(mapping, key, kind, path):
     if key not in mapping:
         raise SceneFileError(f"{path}: missing required field {key!r}")
     value = mapping[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SceneFileError(f"{path}.{key}: expected a number")
-        return float(value)
+    if kind in (int, float):
+        return _number(value, f"{path}.{key}", integer=kind is int)
     if not isinstance(value, kind):
         raise SceneFileError(f"{path}.{key}: expected {kind.__name__}")
     return value
 
 
-def _matrix(data, path, rows=None, cols=None):
+def _array(data, path, shape):
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
         raise SceneFileError(f"{path}: expected a numeric nested array") from None
-    if arr.ndim != 2:
-        raise SceneFileError(f"{path}: expected a matrix, got shape {arr.shape}")
-    if rows is not None and arr.shape != (rows, cols):
-        raise SceneFileError(f"{path}: expected shape ({rows}, {cols}), got {arr.shape}")
-    return arr
-
-
-def _vector(data, path, length=None):
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise SceneFileError(f"{path}: expected a numeric array") from None
-    if arr.ndim != 1 or (length is not None and arr.shape != (length,)):
-        raise SceneFileError(f"{path}: expected a vector of length {length}")
+    if arr.shape != shape:
+        raise SceneFileError(f"{path}: expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SceneFileError(f"{path}: entries must be finite")
     return arr
 
 
 def _polynomial(data, m, path):
-    if not isinstance(data, dict) or "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise SceneFileError(f"{path}: expected an object with a 'terms' list")
     terms = []
     for k, term in enumerate(data["terms"]):
+        where = f"{path}.terms[{k}]"
         if (
             not isinstance(term, list)
             or len(term) != 2
             or not isinstance(term[0], list)
         ):
-            raise SceneFileError(f"{path}.terms[{k}]: expected [[exponents], coeff]")
-        terms.append((tuple(int(a) for a in term[0]), float(term[1])))
+            raise SceneFileError(f"{where}: expected [[exponents], coeff]")
+        exponents = tuple(_number(a, f"{where}[0]", integer=True) for a in term[0])
+        terms.append((exponents, _number(term[1], f"{where}[1]")))
     try:
         return Polynomial(m, terms)
     except ShapeError as exc:
@@ -155,11 +154,15 @@ def load_scene_file(path: str):
     n = _need(sdict, "n", int, "$.scene")
     if n < 0:
         raise SceneFileError("$.scene.n: must be >= 0")
-    seed = int(sdict.get("seed", 0))
-    num_samples = int(sdict.get("num_samples", DEFAULT_NUM_SAMPLES))
+    seed = _number(sdict.get("seed", 0), "$.scene.seed", integer=True)
+    if seed < 0:
+        raise SceneFileError("$.scene.seed: must be >= 0")
+    num_samples = _number(
+        sdict.get("num_samples", DEFAULT_NUM_SAMPLES), "$.scene.num_samples", integer=True
+    )
     if num_samples < 1:
         raise SceneFileError("$.scene.num_samples: must be >= 1")
-    box = float(sdict.get("sample_box", DEFAULT_SAMPLE_BOX))
+    box = _number(sdict.get("sample_box", DEFAULT_SAMPLE_BOX), "$.scene.sample_box")
     if box <= 0:
         raise SceneFileError("$.scene.sample_box: must be positive")
     params = sdict.get("params", {})
@@ -171,7 +174,7 @@ def load_scene_file(path: str):
     )
     try:
         scene = _build_scene(family, n, params, common)
-    except (ParageomError, GenerationError) as exc:
+    except (ParageomError, np.linalg.LinAlgError) as exc:
         raise SceneFileError(f"$.scene: {exc}") from None
     return scene, suites, raw
 
@@ -189,21 +192,22 @@ def _build_scene(family, n, params, common) -> ImmersionScene:
             raise SceneFileError("$.scene.params.quadric: expected an object")
         spec = QuadricSpec(
             n=n,
-            P=_matrix(qd.get("P"), "$.scene.params.quadric.P", n + 1, n + 1),
-            R_skew=_matrix(qd.get("R_skew"), "$.scene.params.quadric.R_skew", n + 1, n + 1),
+            P=_array(qd.get("P"), "$.scene.params.quadric.P", (n + 1, n + 1)),
+            R_skew=_array(qd.get("R_skew"), "$.scene.params.quadric.R_skew", (n + 1, n + 1)),
         )
         kw = dict(common)
         if "base_point" in params:
-            kw["base_point"] = _vector(params["base_point"], "$.scene.params.base_point", dim)
+            kw["base_point"] = _array(params["base_point"], "$.scene.params.base_point", (dim,))
         if "tangent_basis" in params:
-            kw["basis"] = _matrix(params["tangent_basis"], "$.scene.params.tangent_basis", m, dim)
+            kw["basis"] = _array(params["tangent_basis"], "$.scene.params.tangent_basis", (m, dim))
         if family == "quadric_radial":
             return quadric_scene(spec, **kw)
         if "epsilon" not in params:
             raise SceneFileError("$.scene.params.epsilon: required for perturbed scenes")
+        epsilon = _number(params["epsilon"], "$.scene.params.epsilon")
         if "direction" in params:
-            kw["direction"] = _vector(params["direction"], "$.scene.params.direction", dim)
-        return perturbed_scene(spec, float(params["epsilon"]), **kw)
+            kw["direction"] = _array(params["direction"], "$.scene.params.direction", (dim,))
+        return perturbed_scene(spec, epsilon, **kw)
 
     if family == "explicit_graph":
         graph = _polynomial(params.get("graph"), m, "$.scene.params.graph")
@@ -494,6 +498,8 @@ def main(argv=None) -> int:
     values = [v for v in args.values.split(",") if v.strip()]
     try:
         values = [float(v) for v in values]
+        if not all(abs(v) <= sys.float_info.max for v in values):
+            raise ValueError
     except ValueError:
         print(f"error: bad sweep values {args.values!r}", file=sys.stderr)
         return EXIT_INPUT

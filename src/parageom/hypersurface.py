@@ -7,9 +7,11 @@ transversal field C, the flat ambient derivative splits as
     D_i C   = -S^k_i e_k + tau_i C
 
 and this module computes Gamma, h, S, tau together with their first chart
-derivatives by running the whole construction in jet arithmetic: the frame
-matrix B = [e_1 .. e_m | C] is a matrix of jets and decompositions are exact
-truncated-polynomial linear solves (no finite differences anywhere).
+derivatives in jet arithmetic (no finite differences anywhere).  f and C are
+evaluated as order-3 jets; after the derivatives d_i f, d_j d_i f and d_i C
+everything is truncated to first-order jets: the frame matrix
+B = [e_1 .. e_m | C] is a matrix of value-plus-gradient jets and the
+decompositions are exact truncated-polynomial linear solves.
 
 From those come the curvature tensor, the covariant derivative of h, the
 totally symmetric cubic form and the exterior derivative of tau, plus the
@@ -424,11 +426,16 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray):
 
 
 class Frame:
-    """The jet-valued frame B = [e_1 .. e_m | C] and its decompositions.
+    """The frame B = [e_1 .. e_m | C] as first-order jets, and its decompositions.
 
-    The inverse of B in the truncated jet algebra is B0^{-1} corrected by a
-    finite Neumann series in the nilpotent part, so decompositions carry
-    derivatives exactly.
+    Built from order-3 jets of f and C in ``space``.  ``tangent2`` keeps
+    e_i = d_i f as order-2 jets for the one further derivative the structure
+    equations take (d_j e_i); everything downstream lives in the order-1
+    space ``self.space``, where ``tangent_jets`` and ``C_jet`` are the
+    truncated e_i and C.  The inverse of B in that jet algebra is B0^{-1}
+    corrected by a Neumann series in the nilpotent part, which terminates
+    after one term per order, so decompositions carry first derivatives
+    exactly.
     """
 
     def __init__(
@@ -444,15 +451,14 @@ class Frame:
             raise ShapeError(
                 f"immersion/transversal jets must be ({dim}, {space.ncoeff})"
             )
-        self.space = space
+        self.space = jet_space(m, order=1)
         self.m = m
         self.dim = dim
-        self.f_jet = f_jet
-        self.C_jet = C_jet
-        self.tangent_jets = np.stack(
-            [space.deriv(f_jet, i) for i in range(m)], axis=1
-        )  # (dim, m, ncoeff)
-        b = np.concatenate([self.tangent_jets, C_jet[:, None, :]], axis=1)
+        self.tangent2 = space.derivs(f_jet, 2)  # (dim, m, ncoeff of order 2)
+        k = self.space.ncoeff
+        self.tangent_jets = self.tangent2[..., :k]
+        self.C_jet = C_jet[:, :k]
+        b = np.concatenate([self.tangent_jets, self.C_jet[:, None, :]], axis=1)
         b0 = b[:, :, 0]
         cond = np.linalg.cond(b0)
         if not np.isfinite(cond) or cond > cond_limit:
@@ -472,16 +478,15 @@ class Frame:
         return w[: self.m], float(w[self.m])
 
     def decompose_jets(self, v: np.ndarray):
-        """Split a stack of jet vectors (dim, ..., ncoeff) into tangential
-        coordinates (m, ..., ncoeff) and the transversal coefficient."""
-        lead = v.shape[:-1]
+        """Split a stack of first-order jet vectors (dim, ..., ncoeff) into
+        tangential coordinates (m, ..., ncoeff) and the transversal coefficient."""
         x = np.linalg.solve(self.b0, v.reshape(self.dim, -1)).reshape(v.shape)
         single = v.ndim == 2
         if single:
             x = x[:, None, :]
         acc = x.copy()
         term = x
-        for _ in range(3):
+        for _ in range(self.space.order):
             term = -self.space.matvec(self._neumann, term)
             acc += term
         if single:
@@ -536,38 +541,31 @@ class DerivedTensors:
 
 
 def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
+    u = np.asarray(u, dtype=float)
     f, c = eval_immersion(scene, u)
-    space = jet_space(scene.chart_dim)
-    frame = Frame(space, f, c)
-    return _induced_from_frame(scene.n, np.asarray(u, dtype=float), frame)
-
-
-def _induced_from_frame(n: int, u: np.ndarray, frame: Frame) -> InducedData:
+    space3 = jet_space(scene.chart_dim)
+    frame = Frame(space3, f, c)
     space = frame.space
     m = frame.m
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    rhs = np.empty((frame.dim, len(pairs) + m, space.ncoeff))
-    for p, (i, j) in enumerate(pairs):
-        rhs[:, p] = space.deriv(frame.tangent_jets[:, i], j)
-    for i in range(m):
-        rhs[:, len(pairs) + i] = space.deriv(frame.C_jet, i)
+    # d_j e_i for i <= j, then d_j C, as first-order jets.
+    iu, ju = np.triu_indices(m)
+    npairs = len(iu)
+    d_tangent = jet_space(m, order=2).derivs(frame.tangent2, 1)  # [r, i, j, coeff]
+    rhs = np.concatenate([d_tangent[:, iu, ju], space3.derivs(c, 1)], axis=1)
     tang, transv = frame.decompose_jets(rhs)
 
     gamma_j = np.zeros((m, m, m, space.ncoeff))
     h_j = np.zeros((m, m, space.ncoeff))
-    for p, (i, j) in enumerate(pairs):
-        gamma_j[:, i, j] = tang[:, p]
-        gamma_j[:, j, i] = tang[:, p]
-        h_j[i, j] = transv[p]
-        h_j[j, i] = transv[p]
-    s_j = -tang[:, len(pairs) :]
-    tau_j = transv[len(pairs) :]
+    gamma_j[:, iu, ju] = gamma_j[:, ju, iu] = tang[:, :npairs]
+    h_j[iu, ju] = h_j[ju, iu] = transv[:npairs]
+    s_j = -tang[:, npairs:]
+    tau_j = transv[npairs:]
 
     h = h_j[..., 0]
     h_det = float(np.linalg.det(h))
     h_scale = max(np.max(np.abs(h)), 1e-30) ** m
     return InducedData(
-        n=n,
+        n=scene.n,
         u=u,
         frame=frame,
         Gamma=gamma_j[..., 0],

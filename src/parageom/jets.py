@@ -1,23 +1,30 @@
 """Forward-mode differentiation with multivariate Taylor polynomials.
 
-Everything downstream (frames, connections, curvature, structure tensors)
-differentiates through this module.  A jet stores the Taylor coefficients
-c_alpha = (d^alpha f / alpha!) of a scalar quantity at a base point, for every
-multi-index alpha of total degree <= 3 in ``num_vars`` chart variables.
-Arithmetic on jets is truncated-polynomial arithmetic, so derivatives up to
-third order come out exact (no step sizes, no cancellation beyond float64
-roundoff).
+A jet stores the Taylor coefficients c_alpha = (d^alpha f / alpha!) of a
+scalar quantity at a base point, for every multi-index alpha of total degree
+<= ``order`` in ``num_vars`` chart variables.  Arithmetic on jets is
+truncated-polynomial arithmetic, so derivatives up to that order come out
+exact (no step sizes, no cancellation beyond float64 roundoff).
+
+The geometry modules use two orders.  The immersion f and the transversal C
+are evaluated at order 3, since the structure equations need the first
+derivatives of d_j d_i f and d_i C.  Everything after those two derivative
+steps (frame decompositions, Gamma/h/S/tau, phi/xi/eta) is carried at order
+1: a value and a gradient.  Coefficients are listed by degree, so the
+order-1 layout is the first ``num_vars + 1`` coefficients of any higher one
+and truncation is a slice.
 
 Two layers live here:
 
-* :class:`Jet3` — scalar jets with operator overloading, the friendly API.
-* :class:`JetSpace` — the per-dimension coefficient tables plus vectorized
-  kernels over arrays whose *last* axis is the coefficient axis.  The
-  geometry modules use this layer directly so whole tensors of jets move
+* :class:`Jet3` — scalar order-3 jets with operator overloading, the
+  friendly API.
+* :class:`JetSpace` — the per-dimension, per-order coefficient tables plus
+  vectorized kernels over arrays whose *last* axis is the coefficient axis.
+  The geometry modules use this layer directly so whole tensors of jets move
   through single numpy calls.
 
 Truncation caveat: differentiating a jet shifts coefficients down one order,
-so the result carries exact data only up to degree ``3 - k`` after ``k``
+so the result carries exact data only up to degree ``order - k`` after ``k``
 derivatives.  Callers must not extract higher orders from shifted jets; the
 geometry code never does.
 """
@@ -39,19 +46,23 @@ _DIV_FLOOR = 1e-300
 
 
 class JetSpace:
-    """Coefficient layout and vectorized kernels for jets in ``num_vars`` variables.
+    """Coefficient layout and vectorized kernels for jets of total degree
+    <= ``order`` in ``num_vars`` variables.
 
     Arrays handled by the kernels have shape ``(..., ncoeff)``; leading axes
     are free, so a whole matrix of jets is just an ``(n, m, ncoeff)`` array.
     Instances are cached; get one via :func:`jet_space`.
     """
 
-    def __init__(self, num_vars: int):
+    def __init__(self, num_vars: int, order: int = MAX_ORDER):
         if num_vars < 1:
             raise ShapeError(f"need at least one variable, got {num_vars}")
+        if not 1 <= order <= MAX_ORDER:
+            raise ShapeError(f"jet order must be in 1..{MAX_ORDER}, got {order}")
         self.num_vars = num_vars
+        self.order = order
         alphas = [(0,) * num_vars]
-        for deg in range(1, MAX_ORDER + 1):
+        for deg in range(1, order + 1):
             for combo in itertools.combinations_with_replacement(range(num_vars), deg):
                 alpha = [0] * num_vars
                 for v in combo:
@@ -67,7 +78,7 @@ class JetSpace:
         left, right, dest = [], [], []
         for i, a in enumerate(alphas):
             for j, b in enumerate(alphas):
-                if degrees[i] + degrees[j] <= MAX_ORDER:
+                if degrees[i] + degrees[j] <= order:
                     left.append(i)
                     right.append(j)
                     dest.append(self.index[tuple(x + y for x, y in zip(a, b))])
@@ -77,20 +88,13 @@ class JetSpace:
         scatter[np.arange(len(dest)), dest] = 1.0
         self._mul_scatter = scatter
 
-        # Partial-derivative tables: out[beta] = c[beta + e_i] * (beta_i + 1).
-        self._d_src, self._d_dst, self._d_fac = [], [], []
-        for i in range(num_vars):
-            src, dst, fac = [], [], []
-            for pos, beta in enumerate(alphas):
-                if degrees[pos] <= MAX_ORDER - 1:
-                    up = list(beta)
-                    up[i] += 1
-                    src.append(self.index[tuple(up)])
-                    dst.append(pos)
-                    fac.append(beta[i] + 1)
-            self._d_src.append(np.array(src))
-            self._d_dst.append(np.array(dst))
-            self._d_fac.append(np.array(fac, dtype=float))
+        # Partial-derivative tables: d_i c[beta] = c[beta + e_i] * (beta_i + 1)
+        # for the betas of degree < order, which are the leading positions.
+        low = alphas[: int(np.sum(degrees < order))]
+        self._d_src = np.array(
+            [[self.index[b[:i] + (b[i] + 1,) + b[i + 1 :]] for b in low] for i in range(num_vars)]
+        )
+        self._d_fac = np.array([[b[i] + 1.0 for b in low] for i in range(num_vars)])
 
     # ------------------------------------------------------------------
     # constructors
@@ -134,17 +138,16 @@ class JetSpace:
         g = np.einsum("pqt,q...t->p...t", m[..., self._mul_left], v[..., self._mul_right])
         return g @ self._mul_scatter
 
-    def compose(self, a: np.ndarray, c0, c1, c2, c3) -> np.ndarray:
-        """c0 + c1*d + c2*d^2 + c3*d^3 with d = a - a0; ck broadcast over leads."""
+    def compose(self, a: np.ndarray, c0, *c) -> np.ndarray:
+        """c0 + c1*d + c2*d^2 + ... with d = a - a0, up to the space's order;
+        ck broadcast over leads."""
         d = a.copy()
         d[..., 0] = 0.0
-        d2 = self.mul(d, d)
-        d3 = self.mul(d2, d)
-        out = (
-            np.asarray(c1)[..., None] * d
-            + np.asarray(c2)[..., None] * d2
-            + np.asarray(c3)[..., None] * d3
-        )
+        out = np.asarray(c[0])[..., None] * d
+        power = d
+        for ck in c[1 : self.order]:
+            power = self.mul(power, d)
+            out += np.asarray(ck)[..., None] * power
         out[..., 0] += c0
         return out
 
@@ -183,8 +186,17 @@ class JetSpace:
     def deriv(self, a: np.ndarray, i: int) -> np.ndarray:
         """Partial derivative along variable ``i`` (valid one order lower)."""
         out = np.zeros_like(a)
-        out[..., self._d_dst[i]] = a[..., self._d_src[i]] * self._d_fac[i]
+        out[..., : self._d_src.shape[1]] = a[..., self._d_src[i]] * self._d_fac[i]
         return out
+
+    def derivs(self, a: np.ndarray, order: int) -> np.ndarray:
+        """Every first partial of ``a`` as a jet of ``order`` < ``self.order``
+        (the leading coefficients of this layout): shape
+        ``(..., num_vars, ncoeff of that order)``."""
+        if not 0 <= order < self.order:
+            raise OrderExceeded(f"partials of order-{self.order} jets reach order {self.order - 1}")
+        k = math.comb(self.num_vars + order, order)
+        return a[..., self._d_src[:, :k]] * self._d_fac[:, :k]
 
     def value(self, a: np.ndarray) -> np.ndarray:
         return a[..., 0]
@@ -201,8 +213,8 @@ class JetSpace:
             )
         if any(x < 0 for x in alpha):
             raise ShapeError(f"negative entry in multi-index {alpha}")
-        if sum(alpha) > MAX_ORDER:
-            raise OrderExceeded(f"|{alpha}| = {sum(alpha)} exceeds order {MAX_ORDER}")
+        if sum(alpha) > self.order:
+            raise OrderExceeded(f"|{alpha}| = {sum(alpha)} exceeds order {self.order}")
         fac = 1.0
         for x in alpha:
             fac *= math.factorial(x)
@@ -210,8 +222,8 @@ class JetSpace:
 
 
 @lru_cache(maxsize=None)
-def jet_space(num_vars: int) -> JetSpace:
-    return JetSpace(num_vars)
+def jet_space(num_vars: int, order: int = MAX_ORDER) -> JetSpace:
+    return JetSpace(num_vars, order)
 
 
 class Jet3:
@@ -254,8 +266,8 @@ class Jet3:
     def coefficient(self, alpha) -> float:
         """Raw Taylor coefficient (derivative / alpha!)."""
         alpha = tuple(int(x) for x in alpha)
-        if sum(alpha) > MAX_ORDER:
-            raise OrderExceeded(f"|{alpha}| exceeds order {MAX_ORDER}")
+        if sum(alpha) > self.space.order:
+            raise OrderExceeded(f"|{alpha}| exceeds order {self.space.order}")
         return float(self.coeffs[self.space.index[alpha]])
 
     # -- arithmetic -----------------------------------------------------

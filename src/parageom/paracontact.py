@@ -41,8 +41,7 @@ _SIGNATURE_REL = 1e-10
 
 @dataclass
 class ParacontactData:
-    """Pointwise structure tensors, their first chart derivatives, and the
-    jet arrays they were extracted from.
+    """Pointwise structure tensors and their first chart derivatives.
 
     ``phi[k, j]`` is the e_k coefficient of the tangential part of J e_j;
     ``D_basis`` holds 2n orthonormal coordinate vectors spanning ker(eta),
@@ -60,24 +59,13 @@ class ParacontactData:
     deta: np.ndarray
     dphi: np.ndarray
     dbasis: np.ndarray
-    xi_jets: np.ndarray
-    eta_jets: np.ndarray
-    phi_jets: np.ndarray
-    dbasis_jets: np.ndarray
 
 
-def induced_structure(
-    induced: InducedData,
-    f_jet: np.ndarray | None = None,
-    C_jet: np.ndarray | None = None,
-) -> ParacontactData:
+def induced_structure(induced: InducedData) -> ParacontactData:
     """Build (phi, xi, eta) and the ker(eta) basis by decomposing J against
-    the frame, everything carried as jets so derivatives come along."""
+    the frame, everything carried as first-order jets so first derivatives
+    come along."""
     frame = induced.frame
-    if f_jet is not None and C_jet is not None and (
-        f_jet is not frame.f_jet or C_jet is not frame.C_jet
-    ):
-        frame = Frame(jet_space(f_jet.shape[0] - 1), f_jet, C_jet)
     space = frame.space
     m = frame.m
 
@@ -107,10 +95,6 @@ def induced_structure(
         deta=deta,
         dphi=np.moveaxis(space.grad(phi_jets), -1, 0),
         dbasis=space.grad(dbasis_jets),
-        xi_jets=xi_jets,
-        eta_jets=eta_jets,
-        phi_jets=phi_jets,
-        dbasis_jets=dbasis_jets,
     )
 
 
@@ -142,9 +126,9 @@ def _kernel_basis_jets(space, n, eta_jets, xi_jets):
         norm_jet = space.sqrt(space.mul(v, v).sum(axis=0))
         v = space.div(v, norm_jet[None, :])
         chosen[step] = v
-        for s in remaining:
-            coef = space.mul(cand[s], v).sum(axis=0)
-            cand[s] = cand[s] - space.mul(coef[None, :], v)
+        rest = cand[remaining]
+        coef = space.mul(rest, v).sum(axis=1)
+        cand[remaining] = rest - space.mul(coef[:, None, :], v)
     return chosen
 
 

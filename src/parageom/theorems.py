@@ -462,12 +462,11 @@ def _gate_failure(pa: PointAnalysis, gate: str | None, tol: float) -> str | None
     return None
 
 
-def _run_battery(pa: PointAnalysis, theorem_id: str, tol, diagnostic: bool) -> dict:
+def _run_battery(pa: PointAnalysis, theorem_id: str, tol: float, diagnostic: bool) -> dict:
     """Identities for one battery at one point; raises HypothesisNotMet when
     the gate fails outside diagnostic mode."""
     body, gate = _BATTERIES[theorem_id]
-    gate_tol = tol if isinstance(tol, float) else 1e-6
-    reason = _gate_failure(pa, gate, gate_tol)
+    reason = _gate_failure(pa, gate, tol)
     if reason and not diagnostic:
         raise HypothesisNotMet(f"{theorem_id}: {reason}")
     result = body(pa)

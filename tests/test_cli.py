@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from parageom.cli import (
     EXIT_DEGENERATE,
@@ -122,6 +123,75 @@ def test_verify_schema_errors(tmp_path, capsys):
     path = write_scene(tmp_path, {"version": 1, "scene": {"family": "torus", "n": 1}})
     assert cmd_verify(path) == EXIT_INPUT
     assert "family" in capsys.readouterr().err
+
+
+def malformed_base(family):
+    if family == "explicit_graph":
+        scene = {
+            "family": "explicit_graph",
+            "n": 1,
+            "seed": 2,
+            "num_samples": 4,
+            "params": {"graph": {"terms": [[[2, 0, 0], 0.5], [[0, 2, 1], -0.5]]}},
+        }
+        return {"version": 1, "scene": scene}
+    data = quadric_scene_dict(1, 5, num_samples=4)
+    if family == "perturbed_transversal":
+        data["scene"]["family"] = family
+        data["scene"]["params"]["epsilon"] = 0.1
+        data["scene"]["params"]["direction"] = [1.0, 0.0, 0.0, 0.0]
+    return data
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (base family, keys down to the field, malformed value, field path reported)
+MALFORMED = [
+    ("quadric_radial", ["seed"], "abc", "$.scene.seed"),
+    ("quadric_radial", ["seed"], -1, "$.scene.seed"),
+    ("quadric_radial", ["num_samples"], "x", "$.scene.num_samples"),
+    ("quadric_radial", ["num_samples"], 2.5, "$.scene.num_samples"),
+    ("quadric_radial", ["sample_box"], INF, "$.scene.sample_box"),
+    ("quadric_radial", ["sample_box"], "0.4", "$.scene.sample_box"),
+    ("quadric_radial", ["params", "quadric", "P", 0, 0], NAN, "$.scene.params.quadric.P"),
+    ("quadric_radial", ["params", "quadric", "P", 1, 1], INF, "$.scene.params.quadric.P"),
+    ("quadric_radial", ["params", "quadric", "R_skew", 0, 1], NAN,
+     "$.scene.params.quadric.R_skew"),
+    ("quadric_radial", ["params", "base_point", 0], NAN, "$.scene.params.base_point"),
+    ("quadric_radial", ["params", "base_point", 2], -INF, "$.scene.params.base_point"),
+    ("quadric_radial", ["params", "tangent_basis", 1, 0], INF,
+     "$.scene.params.tangent_basis"),
+    ("perturbed_transversal", ["params", "direction", 0], NAN, "$.scene.params.direction"),
+    ("perturbed_transversal", ["params", "epsilon"], INF, "$.scene.params.epsilon"),
+    ("perturbed_transversal", ["params", "epsilon"], "abc", "$.scene.params.epsilon"),
+    ("explicit_graph", ["params", "graph", "terms", 0, 0, 1], "a",
+     "$.scene.params.graph.terms[0][0]"),
+    ("explicit_graph", ["params", "graph", "terms", 0, 0, 1], 1.5,
+     "$.scene.params.graph.terms[0][0]"),
+    ("explicit_graph", ["params", "graph", "terms", 1, 1], NAN,
+     "$.scene.params.graph.terms[1][1]"),
+    ("explicit_graph", ["params", "graph", "terms"], 3, "$.scene.params.graph"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, keys, value, field",
+    MALFORMED,
+    ids=[f"{f}-{'.'.join(map(str, k))}={v!r}" for f, k, v, _ in MALFORMED],
+)
+def test_malformed_field_exits_2_with_field_path(tmp_path, capsys, family, keys, value, field):
+    data = malformed_base(family)
+    target = data["scene"]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    assert main(["verify", write_scene(tmp_path, data)]) == EXIT_INPUT
+    assert f"error: {field}" in capsys.readouterr().err
+
+
+def test_malformed_bases_are_valid(tmp_path):
+    for family in ("quadric_radial", "perturbed_transversal", "explicit_graph"):
+        load_scene_file(write_scene(tmp_path, malformed_base(family), name=f"{family}.json"))
 
 
 def test_verify_degenerate_exit(tmp_path):
@@ -274,3 +344,4 @@ def test_main_gen_and_sweep(tmp_path):
     assert main(["gen-quadric", "--n", "0", "--seed", "4", "--out", out]) == EXIT_PASS
     assert main(["sweep", perturbed_file(tmp_path), "--values", "0.1,0.01"]) == EXIT_PASS
     assert main(["sweep", perturbed_file(tmp_path), "--values", "oops"]) == EXIT_INPUT
+    assert main(["sweep", perturbed_file(tmp_path), "--values", "0.1,nan"]) == EXIT_INPUT

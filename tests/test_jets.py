@@ -268,3 +268,57 @@ def test_deriv_kernel_shifts_orders():
     assert d[0] == pytest.approx(12.0)
     assert space.partial(d, (1,)) == pytest.approx(12.0)
     assert space.partial(d, (2,)) == pytest.approx(6.0)
+
+
+# ----------------------------------------------------------------------
+# lower-order spaces: prefix layout and truncation-equivalent kernels
+
+
+@pytest.mark.parametrize("num_vars", [1, 3, 9])
+def test_lower_order_layouts_are_prefixes(num_vars):
+    full = jet_space(num_vars)
+    for order in (1, 2):
+        low = jet_space(num_vars, order)
+        assert low.order == order
+        assert low.alphas == full.alphas[: low.ncoeff]
+        assert all(sum(a) <= order for a in low.alphas)
+    # Order 1 is value then gradient.
+    assert jet_space(num_vars, 1).ncoeff == num_vars + 1
+
+
+def test_jet_space_rejects_bad_order():
+    for order in (0, 4):
+        with pytest.raises(ShapeError):
+            jet_space(2, order)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 5])
+def test_order1_kernels_equal_truncated_order3(num_vars):
+    rng = np.random.default_rng(num_vars)
+    s1, s3 = jet_space(num_vars, 1), jet_space(num_vars)
+    k = s1.ncoeff
+    a = rng.normal(size=(4, 3, s3.ncoeff))
+    b = rng.normal(size=(4, 3, s3.ncoeff))
+    b[..., 0] = rng.uniform(0.5, 2.0, size=(4, 3))
+    np.testing.assert_array_equal(s1.mul(a[..., :k], b[..., :k]), s3.mul(a, b)[..., :k])
+    np.testing.assert_array_equal(s1.sqrt(b[..., :k]), s3.sqrt(b)[..., :k])
+    np.testing.assert_array_equal(s1.div(a[..., :k], b[..., :k]), s3.div(a, b)[..., :k])
+    m = rng.normal(size=(3, 4, s3.ncoeff))
+    np.testing.assert_array_equal(
+        s1.matvec(m[..., :k], a[..., :k]), s3.matvec(m, a)[..., :k]
+    )
+
+
+def test_derivs_are_truncated_partials():
+    rng = np.random.default_rng(12)
+    space = jet_space(3)
+    a = rng.normal(size=(2, space.ncoeff))
+    for order, k in ((0, 1), (1, 4), (2, 10)):
+        got = space.derivs(a, order)
+        assert got.shape == (2, 3, k)
+        for i in range(3):
+            np.testing.assert_array_equal(got[:, i], space.deriv(a, i)[:, :k])
+    with pytest.raises(OrderExceeded):
+        space.derivs(a, 3)
+    with pytest.raises(OrderExceeded):
+        jet_space(3, 1).partial(a[0, :4], (2, 0, 0))

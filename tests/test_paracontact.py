@@ -105,6 +105,52 @@ def test_kernel_basis_derivatives_match_finite_differences():
         np.testing.assert_allclose(pd.dbasis[:, :, l], fd, atol=1e-5)
 
 
+# Every jet-carried derivative array against central differences of its value
+# array, an oracle that shares nothing with the jet propagation.  Each getter
+# returns (value, derivative with the chart direction l first).
+DERIVATIVE_ARRAYS = {
+    "dGamma": lambda ind, pd: (ind.Gamma, ind.dGamma),
+    "dh": lambda ind, pd: (ind.h, ind.dh),
+    "dS": lambda ind, pd: (ind.S, ind.dS),
+    "dtau_raw": lambda ind, pd: (ind.tau, ind.dtau_raw),
+    "dxi": lambda ind, pd: (pd.xi, pd.dxi),
+    "deta": lambda ind, pd: (pd.eta, pd.deta),
+    "dphi": lambda ind, pd: (pd.phi, pd.dphi),
+    "dbasis": lambda ind, pd: (pd.D_basis, np.moveaxis(pd.dbasis, -1, 0)),
+}
+
+DERIVATIVE_SCENES = {
+    "hyperbola": lambda: hyperbola_scene(seed=21, num_samples=3),
+    "quadric_n1": lambda: quadric_scene(random_quadric_spec(1, 22), seed=22, num_samples=3),
+    "quadric_n2": lambda: quadric_scene(random_quadric_spec(2, 23), seed=23, num_samples=3),
+    "perturbed_n1": lambda: perturbed_scene(
+        random_quadric_spec(1, 24), epsilon=0.1, seed=24, num_samples=3
+    ),
+    "graph_n1": lambda: random_graph_scene(1, seed=25, num_samples=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIVE_SCENES))
+def test_derivative_arrays_match_central_differences(name):
+    scene = DERIVATIVE_SCENES[name]()
+    step = 1e-5
+    for u in scene.samples:
+        at_u = point_data(scene, u)
+        for l in range(scene.chart_dim):
+            up, um = u.copy(), u.copy()
+            up[l] += step
+            um[l] -= step
+            plus, minus = point_data(scene, up), point_data(scene, um)
+            for field, get in DERIVATIVE_ARRAYS.items():
+                value, deriv = get(*at_u)
+                assert deriv.shape == (scene.chart_dim,) + value.shape, field
+                fd = (get(*plus)[0] - get(*minus)[0]) / (2.0 * step)
+                scale = max(1.0, float(np.max(np.abs(fd), initial=0.0)))
+                np.testing.assert_allclose(
+                    deriv[l], fd, rtol=0, atol=1e-8 * scale, err_msg=f"{field} along u^{l}"
+                )
+
+
 # ----------------------------------------------------------------------
 # J-tangency
 
