@@ -7,7 +7,9 @@ fundamental form, shape operator and transversal form, builds the induced
 (phi, xi, eta) structure from the half-swap paracomplex involution, and
 checks the classification identities (shape operator -Id, vanishing
 transversal form, para-(-1)-contact/Sasakian conditions, hyperquadric
-classification) at sampled chart points.
+classification) at sampled chart points.  Every check is a named battery
+that ``run_suite`` evaluates over a scene's samples; the converse battery
+is one of them, built on a quadric scene by ``verify_quadric_converse``.
 
 Typical use::
 
@@ -28,7 +30,6 @@ from .errors import (
     DegenerateJet,
     DegenerateMetric,
     GenerationError,
-    HypothesisNotMet,
     OrderExceeded,
     ParageomError,
     ShapeError,
@@ -39,11 +40,8 @@ from .hypersurface import (
     ImmersionScene,
     InducedData,
     Polynomial,
-    derived_tensors,
     draw_samples,
     eval_immersion,
-    find_base_point,
-    frame_decompose,
     fundamental_residuals,
     graph_scene,
     hyperbola_scene,
@@ -51,7 +49,6 @@ from .hypersurface import (
     perturbed_scene,
     quadric_scene,
     random_graph_scene,
-    tangent_basis,
 )
 from .jets import Jet3, analytic, arith, extract_partial, jet_space, seed_variable
 from .paracomplex import (
@@ -63,19 +60,14 @@ from .paracomplex import (
     random_quadric_spec,
 )
 from .paracontact import (
-    MetricReport,
     ParacontactData,
     axiom_residuals,
     contact_residual,
-    dperp_direction,
     induced_structure,
-    j_tangency_residual,
     levi_civita,
     metric_residual,
     normality_residuals,
     sasakian_residual,
-    signature_of,
-    structure_report,
 )
 from .theorems import (
     SCENE_SUITES,
@@ -84,13 +76,7 @@ from .theorems import (
     analyze_point,
     analyze_scene,
     run_suite,
-    verify_cor_wzory,
-    verify_lem_cubic,
-    verify_lem_est,
     verify_quadric_converse,
-    verify_quadric_forward,
-    verify_thm_stau,
-    verify_tw_wzory,
 )
 
 __version__ = "0.1.0"

@@ -329,8 +329,7 @@ def cmd_verify(path, json_path=None, diagnostic=False, no_timing=False) -> int:
     _print_summary(scene, report)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return code
 
 
@@ -375,8 +374,7 @@ def cmd_gen_quadric(n, seed, out, num_samples=DEFAULT_NUM_SAMPLES,
         return EXIT_DEGENERATE
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

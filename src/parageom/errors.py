@@ -34,10 +34,5 @@ class DegenerateMetric(ParageomError):
     """The second fundamental form is singular where an inverse is needed."""
 
 
-class HypothesisNotMet(ParageomError):
-    """A theorem battery was invoked on a sample that violates the theorem's
-    hypothesis (non-metric or non-tangent structure) outside diagnostic mode."""
-
-
 class BasePointNotFound(ParageomError):
     """No admissible base point was found on the quadric after the search budget."""

@@ -58,6 +58,12 @@ CHART_Q_MIN = 0.1
 FRAME_COND_LIMIT = 1e8
 # |det h| below this (relative to max|h|^m) flags the sample as metric-degenerate.
 H_DET_FLOOR = 1e-10
+# Base-point search: draws, and the least share of the top eigenvalue of A
+# that an accepted direction must realize.
+BASE_POINT_TRIES = 1000
+BASE_POINT_QUALITY = 0.05
+# Size of the random cubic coefficients of ``random_graph_scene``.
+GRAPH_CUBIC_SCALE = 0.3
 
 DEFAULT_TOLERANCES = {"engine": 1e-8, "theorem": 1e-6}
 
@@ -102,18 +108,8 @@ class Polynomial:
             out += term
         return out
 
-    def __call__(self, point: np.ndarray) -> float:
-        point = np.asarray(point, dtype=float)
-        return float(
-            sum(c * np.prod(point**np.array(alpha)) for alpha, c in self.terms)
-        )
-
     def to_dict(self) -> dict:
         return {"terms": [[list(alpha), c] for alpha, c in self.terms]}
-
-    @classmethod
-    def from_dict(cls, d: dict, num_vars: int) -> "Polynomial":
-        return cls(num_vars, [(tuple(t[0]), t[1]) for t in d["terms"]])
 
 
 # ----------------------------------------------------------------------
@@ -145,26 +141,21 @@ class ImmersionScene:
         return 2 * self.n + 2
 
 
-def find_base_point(
-    spec: QuadricSpec,
-    rng: np.random.Generator,
-    min_quality: float = 0.05,
-    max_tries: int = 1000,
-) -> np.ndarray:
+def find_base_point(spec: QuadricSpec, rng: np.random.Generator) -> np.ndarray:
     """Search random ambient directions for one with y'Ay > 0, normalized onto
     the quadric.  For conditioning, a direction is accepted only when it
-    realizes at least ``min_quality`` of the largest achievable quadric value
-    per unit length (the top eigenvalue of A)."""
+    realizes at least ``BASE_POINT_QUALITY`` of the largest achievable quadric
+    value per unit length (the top eigenvalue of A)."""
     top = float(np.max(np.linalg.eigvalsh(spec.A)))
     if top <= 0.0:
         raise BasePointNotFound("quadric matrix has no positive directions")
-    for _ in range(max_tries):
+    for _ in range(BASE_POINT_TRIES):
         d = rng.normal(size=spec.ambient_dim)
         q = float(d @ spec.A @ d)
-        if q > min_quality * top * float(d @ d):
+        if q > BASE_POINT_QUALITY * top * float(d @ d):
             return d / np.sqrt(q)
     raise BasePointNotFound(
-        f"no direction with positive quadric value in {max_tries} draws"
+        f"no direction with positive quadric value in {BASE_POINT_TRIES} draws"
     )
 
 
@@ -326,7 +317,6 @@ def random_graph_scene(
     seed: int,
     num_samples: int = DEFAULT_NUM_SAMPLES,
     sample_box: float = DEFAULT_SAMPLE_BOX,
-    cubic_scale: float = 0.3,
     tolerances: dict | None = None,
 ) -> ImmersionScene:
     """Nondegenerate random cubic graph with a mildly perturbed transversal.
@@ -350,7 +340,7 @@ def random_graph_scene(
                 alpha[i] += 1
                 alpha[j] += 1
                 alpha[k] += 1
-                terms.append((tuple(alpha), cubic_scale * rng.uniform(-1.0, 1.0)))
+                terms.append((tuple(alpha), GRAPH_CUBIC_SCALE * rng.uniform(-1.0, 1.0)))
     graph = Polynomial(m, terms)
     dim = m + 1
     transversal = []
@@ -438,13 +428,7 @@ class Frame:
     exactly.
     """
 
-    def __init__(
-        self,
-        space: JetSpace,
-        f_jet: np.ndarray,
-        C_jet: np.ndarray,
-        cond_limit: float = FRAME_COND_LIMIT,
-    ):
+    def __init__(self, space: JetSpace, f_jet: np.ndarray, C_jet: np.ndarray):
         m = space.num_vars
         dim = m + 1
         if f_jet.shape != (dim, space.ncoeff) or C_jet.shape != (dim, space.ncoeff):
@@ -461,21 +445,13 @@ class Frame:
         b = np.concatenate([self.tangent_jets, self.C_jet[:, None, :]], axis=1)
         b0 = b[:, :, 0]
         cond = np.linalg.cond(b0)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > FRAME_COND_LIMIT:
             raise DegenerateFrame(f"frame condition number {cond:.3g}")
         self.b0 = b0
         self.cond = float(cond)
         nilpotent = b.copy()
         nilpotent[:, :, 0] = 0.0
         self._neumann = np.linalg.solve(b0, nilpotent.reshape(dim, -1)).reshape(b.shape)
-
-    def decompose(self, v: np.ndarray):
-        """Split a plain ambient vector: v = sum a^i e_i + b C at the point."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ShapeError(f"vector shape {v.shape} != ({self.dim},)")
-        w = np.linalg.solve(self.b0, v)
-        return w[: self.m], float(w[self.m])
 
     def decompose_jets(self, v: np.ndarray):
         """Split a stack of first-order jet vectors (dim, ..., ncoeff) into
@@ -494,13 +470,6 @@ class Frame:
         return acc[: self.m], acc[self.m]
 
 
-def frame_decompose(f_jet: np.ndarray, C_jet: np.ndarray, v: np.ndarray):
-    """Unique decomposition of an ambient vector against the frame at a point."""
-    dim = f_jet.shape[0]
-    space = jet_space(dim - 1)
-    return Frame(space, f_jet, C_jet).decompose(v)
-
-
 # ----------------------------------------------------------------------
 # induced quantities
 
@@ -512,7 +481,7 @@ class InducedData:
     Index conventions: ``Gamma[k, i, j]`` is the e_k coefficient of D_i e_j,
     ``S[k, j]`` the e_k coefficient of -D_j C, ``dX[l, ...]`` the derivative
     of X along chart direction l.  ``h_degenerate`` reports (without raising)
-    that det h fell below the relative floor at this sample.
+    the verdict of ``h_is_degenerate`` at this sample.
     """
 
     n: int
@@ -526,7 +495,6 @@ class InducedData:
     dh: np.ndarray
     dS: np.ndarray
     dtau_raw: np.ndarray
-    h_det: float
     h_degenerate: bool
 
 
@@ -562,8 +530,6 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     tau_j = transv[npairs:]
 
     h = h_j[..., 0]
-    h_det = float(np.linalg.det(h))
-    h_scale = max(np.max(np.abs(h)), 1e-30) ** m
     return InducedData(
         n=scene.n,
         u=u,
@@ -576,9 +542,16 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
         dh=np.moveaxis(space.grad(h_j), -1, 0),
         dS=np.moveaxis(space.grad(s_j), -1, 0),
         dtau_raw=np.moveaxis(space.grad(tau_j), -1, 0),
-        h_det=h_det,
-        h_degenerate=bool(abs(h_det) < H_DET_FLOOR * h_scale),
+        h_degenerate=h_is_degenerate(h),
     )
+
+
+def h_is_degenerate(h: np.ndarray) -> bool:
+    """Whether h is degenerate: |det h| below ``H_DET_FLOOR`` relative to
+    max|h|^m.  The package's one such test; everything that needs h^{-1}
+    raises DegenerateMetric on it."""
+    scale = float(np.max(np.abs(h)))
+    return scale == 0.0 or abs(float(np.linalg.det(h / scale))) < H_DET_FLOOR
 
 
 def derive_tensors(ind: InducedData) -> DerivedTensors:
@@ -597,10 +570,6 @@ def derive_tensors(ind: InducedData) -> DerivedTensors:
     q = nabla_h + ind.tau[:, None, None] * ind.h[None, :, :]
     dtau = 0.5 * (ind.dtau_raw - ind.dtau_raw.T)
     return DerivedTensors(R_curv=r_curv, nabla_h=nabla_h, Q=q, dtau=dtau)
-
-
-def derived_tensors(scene: ImmersionScene, u: np.ndarray) -> DerivedTensors:
-    return derive_tensors(induced_data(scene, u))
 
 
 def fundamental_residuals(scene: ImmersionScene, u: np.ndarray):

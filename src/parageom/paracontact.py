@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFrame, DegenerateMetric
-from .hypersurface import Frame, InducedData
-from .jets import jet_space
+from .hypersurface import InducedData, h_is_degenerate
 from .paracomplex import apply_J
 
 # Pivot floor for selecting independent spanning fields of ker(eta).
 _DBASIS_PIVOT = 1e-8
-# Relative eigenvalue threshold used when counting a signature.
+# Relative eigenvalue threshold used when counting a signature (only there:
+# whether h is degenerate is ``h_is_degenerate``'s determinant floor).
 _SIGNATURE_REL = 1e-10
 
 
@@ -132,23 +132,15 @@ def _kernel_basis_jets(space, n, eta_jets, xi_jets):
     return chosen
 
 
-def j_tangency_residual(f_jet: np.ndarray, C_jet: np.ndarray) -> float:
-    """|transversal coefficient of J C| at the point; 0 iff C is J-tangent."""
-    space = jet_space(f_jet.shape[0] - 1)
-    frame = Frame(space, f_jet, C_jet)
-    _, b = frame.decompose(apply_J(C_jet)[:, 0])
-    return abs(b)
-
-
-def signature_of(h: np.ndarray, rel_threshold: float = _SIGNATURE_REL):
+def signature_of(h: np.ndarray):
     """Inertia (positives, negatives) of a symmetric matrix by eigenvalue sign
-    count; eigenvalues within ``rel_threshold * max|eig|`` of zero count as
+    count; eigenvalues within ``_SIGNATURE_REL * max|eig|`` of zero count as
     neither."""
     vals = np.linalg.eigvalsh(0.5 * (h + h.T))
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     if scale == 0.0:
         return (0, 0)
-    thr = rel_threshold * scale
+    thr = _SIGNATURE_REL * scale
     return (int(np.sum(vals > thr)), int(np.sum(vals < -thr)))
 
 
@@ -189,10 +181,8 @@ def axiom_residuals(pd: ParacontactData) -> dict:
 def _abs_h_norm_matrix(h: np.ndarray) -> np.ndarray:
     """|h| as a positive definite matrix (eigendecomposition with absolute
     eigenvalues); the norm used for vector-valued residuals."""
+    _require_nondegenerate(h)
     vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0 or np.min(np.abs(vals)) < _SIGNATURE_REL * scale:
-        raise DegenerateMetric("h is singular; no |h| norm")
     return (vecs * np.abs(vals)) @ vecs.T
 
 
@@ -229,31 +219,22 @@ def contact_residual(pd: ParacontactData, h: np.ndarray, alpha: float) -> float:
     return float(np.max(np.abs(pd.d_eta - alpha * (h @ pd.phi))))
 
 
+def _require_nondegenerate(h: np.ndarray):
+    """Raise DegenerateMetric where ``h_is_degenerate`` (the one degeneracy
+    test, shared with ``induced_data``) says h has no usable inverse."""
+    if h_is_degenerate(h):
+        raise DegenerateMetric(f"h determinant {np.linalg.det(h):.3g} below floor")
+
+
 def levi_civita(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """Christoffel symbols of the (pseudo-)metric h from the Koszul formula.
 
     ``dh[l, i, j]`` is d_l h_{ij}; returns ``G[k, i, j]``, symmetric in (i, j).
     """
-    m = h.shape[0]
-    det = float(np.linalg.det(h))
-    scale = max(np.max(np.abs(h)), 1e-30) ** m
-    if abs(det) < 1e-10 * scale:
-        raise DegenerateMetric(f"h determinant {det:.3g} below floor")
+    _require_nondegenerate(h)
     h_inv = np.linalg.inv(h)
     t = dh + dh.transpose(1, 0, 2) - dh.transpose(1, 2, 0)
     return 0.5 * np.einsum("kl,ijl->kij", h_inv, t)
-
-
-def metric_compatibility_residual(h: np.ndarray, dh: np.ndarray) -> float:
-    """Self-test: the covariant derivative of h under its own Levi-Civita
-    connection must vanish."""
-    g = levi_civita(h, dh)
-    nabla_h = (
-        dh
-        - np.einsum("pij,pk->ijk", g, h)
-        - np.einsum("pik,jp->ijk", g, h)
-    )
-    return float(np.max(np.abs(nabla_h)))
 
 
 def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -> float:
@@ -272,67 +253,3 @@ def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -
         + np.einsum("j,ki->ikj", pd.eta, np.eye(m))
     )
     return float(np.max(np.abs(nab_phi - rhs)))
-
-
-def dperp_direction(pd: ParacontactData, h: np.ndarray) -> np.ndarray:
-    """Unit vector spanning {X : h(X, Z) = 0 for all Z in ker(eta)}.
-
-    Diagnostic only; equals h^{-1} eta up to scale, and coincides with xi
-    exactly when eta(X) = h(X, xi).
-    """
-    det = float(np.linalg.det(h))
-    scale = max(np.max(np.abs(h)), 1e-30) ** h.shape[0]
-    if abs(det) < 1e-10 * scale:
-        raise DegenerateMetric("h is singular; annihilator line undefined")
-    v = np.linalg.solve(h, pd.eta)
-    return v / np.linalg.norm(v)
-
-
-@dataclass
-class MetricReport:
-    """Everything the structure-level battery measures at one point."""
-
-    metric_residual: float
-    signature: tuple
-    j_tangency_residual: float
-    axioms: dict
-    normality_residual: tuple | None
-    contact_alpha_residual: dict
-    sasakian_alpha_residual: dict
-    levi_civita: np.ndarray | None
-    h_degenerate: bool
-
-
-def structure_report(
-    induced: InducedData,
-    pd: ParacontactData,
-    alphas=(-1.0,),
-) -> MetricReport:
-    """Evaluate the full structure battery at one point.
-
-    Quantities needing h^{-1} are reported as None/empty when h is singular;
-    callers decide whether that is a skip or a failure.
-    """
-    res, sig = metric_residual(pd, induced.h)
-    contact = {a: contact_residual(pd, induced.h, a) for a in alphas}
-    try:
-        lc = levi_civita(induced.h, induced.dh)
-        sasakian = {a: sasakian_residual(pd, induced, a) for a in alphas}
-        normality = normality_residuals(pd, induced)
-        degenerate = False
-    except DegenerateMetric:
-        lc = None
-        sasakian = {}
-        normality = None
-        degenerate = True
-    return MetricReport(
-        metric_residual=res,
-        signature=sig,
-        j_tangency_residual=pd.tangency,
-        axioms=axiom_residuals(pd),
-        normality_residual=normality,
-        contact_alpha_residual=contact,
-        sasakian_alpha_residual=sasakian,
-        levi_civita=lc,
-        h_degenerate=degenerate,
-    )

@@ -21,27 +21,27 @@ evaluated at every sample of a scene:
                         surrogate of the hyperquadric classification).
 * ``THM_QUADRIC_CONV``— the converse: a centered quadric anticommuting with
                         the half-swap, with the position transversal, carries
-                        a metric induced structure with all of the above.
+                        a metric induced structure with all of the above.  It
+                        is a row like the others, ungated, scored against the
+                        per-identity ``CONVERSE_TOLERANCES``; it is not one
+                        of the ``SCENE_SUITES`` a scene file may select, and
+                        ``verify_quadric_converse`` builds its scene.
 
-Theorem hypotheses are enforced as numeric gates at the scene's theorem
-tolerance; diagnostic mode disables the gates so negative behaviour can be
-measured.  Gate skips and degeneracy skips are reported per sample and never
-silently dropped.
+Every battery runs through ``run_suite``, over the per-sample analyses that
+``analyze_scene`` computes once.  Theorem hypotheses are enforced as numeric
+gates at the scene's theorem tolerance; diagnostic mode disables the gates so
+negative behaviour can be measured.  Gate skips and degeneracy skips are
+reported per sample and never silently dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ChartLeak,
-    DegenerateFrame,
-    DegenerateJet,
-    DegenerateMetric,
-    HypothesisNotMet,
-)
+from .errors import ChartLeak, DegenerateFrame, DegenerateJet, DegenerateMetric
 from .hypersurface import (
     DerivedTensors,
     ImmersionScene,
@@ -107,6 +107,14 @@ class PointAnalysis:
     fundamental: tuple
     metric_res: float
     signature: tuple
+
+    @cached_property
+    def normality(self) -> tuple:
+        """(Nijenhuis, operational) normality defects, computed once and
+        shared by every battery that reads them.  Lazy because it raises
+        DegenerateMetric on a degenerate h, which must skip only those
+        batteries, not the whole sample."""
+        return normality_residuals(self.pd, self.ind)
 
 
 def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
@@ -403,12 +411,12 @@ def _thm_stau_identities(pa: PointAnalysis) -> dict:
 
 
 def _prop_normal_identities(pa: PointAnalysis) -> dict:
-    nij, op = normality_residuals(pa.pd, pa.ind)
+    nij, op = pa.normality
     return {"nijenhuis": nij, "operational": op}
 
 
 def _thm_equiv_identities(pa: PointAnalysis) -> dict:
-    nij, op = normality_residuals(pa.pd, pa.ind)
+    nij, op = pa.normality
     return {
         "metric": pa.metric_res,
         "contact_minus_one": contact_residual(pa.pd, pa.ind.h, -1.0),
@@ -438,17 +446,32 @@ def _metric_identities(pa: PointAnalysis) -> dict:
     }
 
 
-# gate kind per battery: None, "tangent", or "metric"
+def _converse_identities(pa: PointAnalysis) -> dict:
+    n = pa.pd.n
+    return {
+        "j_tangency": pa.pd.tangency,
+        "metric": pa.metric_res,
+        "signature_defect": 0.0 if pa.signature == (n + 1, n) else 1.0,
+        **_thm_stau_identities(pa),
+        **_quadric_fwd_identities(pa),
+        # repeats "metric" with the same value, which keeps its place above
+        **_thm_equiv_identities(pa),
+    }
+
+
+# theorem id -> (battery body, gate kind: None, "tangent" or "metric",
+# per-identity tolerances or None for the scene's theorem tolerance)
 _BATTERIES = {
-    "METRIC": (_metric_identities, None),
-    "TW_WZORY": (_tw_wzory_identities, "tangent"),
-    "COR_WZORY": (_cor_wzory_identities, "tangent"),
-    "PROP_NORMAL": (_prop_normal_identities, "tangent"),
-    "LEM_EST": (_lem_est_identities, "metric"),
-    "LEM_CUBIC": (_lem_cubic_identities, "metric"),
-    "THM_STAU": (_thm_stau_identities, "metric"),
-    "THM_EQUIV": (_thm_equiv_identities, "metric"),
-    "THM_QUADRIC_FWD": (_quadric_fwd_identities, "metric"),
+    "METRIC": (_metric_identities, None, None),
+    "TW_WZORY": (_tw_wzory_identities, "tangent", None),
+    "COR_WZORY": (_cor_wzory_identities, "tangent", None),
+    "PROP_NORMAL": (_prop_normal_identities, "tangent", None),
+    "LEM_EST": (_lem_est_identities, "metric", None),
+    "LEM_CUBIC": (_lem_cubic_identities, "metric", None),
+    "THM_STAU": (_thm_stau_identities, "metric", None),
+    "THM_EQUIV": (_thm_equiv_identities, "metric", None),
+    "THM_QUADRIC_FWD": (_quadric_fwd_identities, "metric", None),
+    "THM_QUADRIC_CONV": (_converse_identities, None, CONVERSE_TOLERANCES),
 }
 
 
@@ -462,60 +485,6 @@ def _gate_failure(pa: PointAnalysis, gate: str | None, tol: float) -> str | None
     return None
 
 
-def _run_battery(pa: PointAnalysis, theorem_id: str, tol: float, diagnostic: bool) -> dict:
-    """Identities for one battery at one point; raises HypothesisNotMet when
-    the gate fails outside diagnostic mode."""
-    body, gate = _BATTERIES[theorem_id]
-    reason = _gate_failure(pa, gate, tol)
-    if reason and not diagnostic:
-        raise HypothesisNotMet(f"{theorem_id}: {reason}")
-    result = body(pa)
-    if isinstance(result, tuple):
-        return {"identities": result[0], "vacuous_identities": result[1]}
-    return {"identities": result, "vacuous_identities": []}
-
-
-# ----------------------------------------------------------------------
-# public per-point operations
-
-
-def _point_battery(scene, u, theorem_id, diagnostic):
-    pa = analyze_point(scene, u)
-    tol = float(scene.tolerances["theorem"])
-    return _run_battery(pa, theorem_id, tol, diagnostic)["identities"]
-
-
-def verify_tw_wzory(scene, u, diagnostic: bool = False) -> dict:
-    """Six-identity battery on the coordinate frame fields."""
-    return _point_battery(scene, u, "TW_WZORY", diagnostic)
-
-
-def verify_cor_wzory(scene, u, diagnostic: bool = False) -> dict:
-    """Five-identity battery on ker(eta) fields (vacuous for n = 0)."""
-    return _point_battery(scene, u, "COR_WZORY", diagnostic)
-
-
-def verify_lem_est(scene, u, diagnostic: bool = False) -> dict:
-    """Shape/transversal-form battery under the metric hypothesis."""
-    return _point_battery(scene, u, "LEM_EST", diagnostic)
-
-
-def verify_lem_cubic(scene, u, diagnostic: bool = False) -> dict:
-    """Cubic-form battery under the metric hypothesis."""
-    return _point_battery(scene, u, "LEM_CUBIC", diagnostic)
-
-
-def verify_thm_stau(scene, u, diagnostic: bool = False) -> tuple:
-    """(max |S + Id|, max |tau|) under the metric hypothesis."""
-    ids = _point_battery(scene, u, "THM_STAU", diagnostic)
-    return ids["s_plus_id"], ids["tau_norm"]
-
-
-def verify_quadric_forward(scene, u, diagnostic: bool = False) -> float:
-    """max |Q| under the metric hypothesis (hyperquadric surrogate)."""
-    return _point_battery(scene, u, "THM_QUADRIC_FWD", diagnostic)["cubic_max"]
-
-
 # ----------------------------------------------------------------------
 # scene-level suites
 
@@ -526,29 +495,31 @@ def run_suite(
     diagnostic: bool = False,
     analyses: list | None = None,
 ) -> TheoremReport:
-    """Evaluate one battery over every sample of a scene."""
+    """Evaluate one battery over every sample of a scene.
+
+    A sample is skipped, with its reason, when it could not be analyzed or
+    its h is degenerate where the battery needs an inverse ("degenerate: ..."),
+    or when it fails the battery's hypothesis gate outside diagnostic mode
+    ("gate: ...").
+    """
     if theorem_id not in _BATTERIES:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    tol = float(scene.tolerances["theorem"])
+    body, gate, tolerances = _BATTERIES[theorem_id]
+    tol = dict(tolerances) if tolerances else float(scene.tolerances["theorem"])
     if analyses is None:
         analyses = analyze_scene(scene)
-    _, gate = _BATTERIES[theorem_id]
 
     outcomes = []
     for idx, pa in enumerate(analyses):
-        if isinstance(pa, str):
-            outcomes.append(
-                SampleOutcome(
-                    index=idx,
-                    identities={},
-                    passed=False,
-                    skipped=True,
-                    skip_reason=f"degenerate: {pa}",
-                )
-            )
-            continue
-        reason = _gate_failure(pa, gate, tol)
-        if reason and not diagnostic:
+        reason = f"degenerate: {pa}" if isinstance(pa, str) else None
+        if reason is None and not diagnostic:
+            reason = _gate_failure(pa, gate, tol)
+        if reason is None:
+            try:
+                result = body(pa)
+            except DegenerateMetric as exc:
+                reason = f"degenerate: {exc}"
+        if reason is not None:
             outcomes.append(
                 SampleOutcome(
                     index=idx,
@@ -559,21 +530,7 @@ def run_suite(
                 )
             )
             continue
-        try:
-            result = _run_battery(pa, theorem_id, tol, diagnostic=True)
-        except DegenerateMetric as exc:
-            outcomes.append(
-                SampleOutcome(
-                    index=idx,
-                    identities={},
-                    passed=False,
-                    skipped=True,
-                    skip_reason=f"degenerate: {exc}",
-                )
-            )
-            continue
-        ids = result["identities"]
-        vac = result["vacuous_identities"]
+        ids, vac = result if isinstance(result, tuple) else (result, [])
         worst, ok = _score(ids, tol, vac)
         if theorem_id == "PROP_NORMAL":
             # The proposition is an equivalence: both residuals must sit on
@@ -586,6 +543,11 @@ def run_suite(
             SampleOutcome(
                 index=idx,
                 identities=ids,
+                extras=(
+                    {"signature": list(pa.signature)}
+                    if theorem_id == "THM_QUADRIC_CONV"
+                    else {}
+                ),
                 max_residual=worst,
                 passed=ok,
                 vacuous=all_vacuous,
@@ -617,60 +579,14 @@ def verify_quadric_converse(
     spec: QuadricSpec,
     num_samples: int = 20,
     seed: int = 0,
-    tolerances: dict | None = None,
 ) -> TheoremReport:
-    """Full converse battery on a quadric scene with the position transversal.
+    """The converse battery on a quadric scene with the position transversal.
 
-    Builds the radial chart (base point found by seeded search), then checks
-    J-tangency, metric compatibility with signature (n+1, n), S = -Id and
-    tau = 0, total vanishing of the cubic form, and the (-1)-contact,
-    (-1)-Sasakian and normality conditions, each against its own tolerance.
+    Builds the radial chart (base point found by seeded search), then runs
+    the THM_QUADRIC_CONV row: J-tangency, metric compatibility with signature
+    (n+1, n), S = -Id and tau = 0, total vanishing of the cubic form, and the
+    (-1)-contact, (-1)-Sasakian and normality conditions, each against its
+    own tolerance in ``CONVERSE_TOLERANCES``.
     """
-    tol = dict(CONVERSE_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     scene = quadric_scene(spec, seed=seed, num_samples=num_samples)
-    outcomes = []
-    for idx, pa in enumerate(analyze_scene(scene)):
-        if isinstance(pa, str):
-            outcomes.append(
-                SampleOutcome(
-                    index=idx,
-                    identities={},
-                    passed=False,
-                    skipped=True,
-                    skip_reason=f"degenerate: {pa}",
-                )
-            )
-            continue
-        nij, op = normality_residuals(pa.pd, pa.ind)
-        stau = _thm_stau_identities(pa)
-        ids = {
-            "j_tangency": pa.pd.tangency,
-            "metric": pa.metric_res,
-            "signature_defect": 0.0 if pa.signature == (spec.n + 1, spec.n) else 1.0,
-            "s_plus_id": stau["s_plus_id"],
-            "tau_norm": stau["tau_norm"],
-            "cubic_max": float(np.max(np.abs(pa.der.Q))),
-            "contact_minus_one": contact_residual(pa.pd, pa.ind.h, -1.0),
-            "sasakian_minus_one": sasakian_residual(pa.pd, pa.ind, -1.0),
-            "nijenhuis": nij,
-            "operational": op,
-        }
-        worst, ok = _score(ids, tol)
-        outcomes.append(
-            SampleOutcome(
-                index=idx,
-                identities=ids,
-                extras={"signature": list(pa.signature)},
-                max_residual=worst,
-                passed=ok,
-            )
-        )
-    return TheoremReport(
-        theorem_id="THM_QUADRIC_CONV",
-        tolerance=tol,
-        per_sample=outcomes,
-        status=_suite_status(outcomes),
-        gate=None,
-    )
+    return run_suite(scene, "THM_QUADRIC_CONV")

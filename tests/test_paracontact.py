@@ -1,33 +1,34 @@
 """Induced (phi, xi, eta) structure and its compatibility residuals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from parageom import jet_space
 from parageom.errors import DegenerateMetric
 from parageom.hypersurface import (
+    Frame,
     eval_immersion,
+    h_is_degenerate,
     hyperbola_scene,
     induced_data,
     perturbed_scene,
     quadric_scene,
     random_graph_scene,
 )
-from parageom.paracomplex import random_quadric_spec
+from parageom.paracomplex import apply_J, random_quadric_spec
 from parageom.paracontact import (
     axiom_residuals,
     contact_residual,
-    dperp_direction,
     induced_structure,
-    j_tangency_residual,
     levi_civita,
-    metric_compatibility_residual,
     metric_residual,
     normality_residuals,
     sasakian_residual,
     signature_of,
-    structure_report,
 )
+from parageom.theorems import run_suite
 
 
 def point_data(scene, u):
@@ -155,11 +156,18 @@ def test_derivative_arrays_match_central_differences(name):
 # J-tangency
 
 
+def j_tangency(f, c):
+    """|transversal coefficient of J C| at the point; 0 iff C is J-tangent."""
+    frame = Frame(jet_space(f.shape[0] - 1), f, c)
+    _, b = frame.decompose_jets(apply_J(frame.C_jet))
+    return abs(b[0])
+
+
 def test_quadric_position_field_is_j_tangent():
     for scene, _ in quadric_zoo():
         for u in scene.samples:
             f, c = eval_immersion(scene, u)
-            assert j_tangency_residual(f, c) <= 1e-12
+            assert j_tangency(f, c) <= 1e-12
 
 
 def test_circle_position_field_is_not_j_tangent():
@@ -169,7 +177,7 @@ def test_circle_position_field_is_not_j_tangent():
     a0 = 0.6
     f = np.stack([t, space.sqrt(space.const(1.0) - space.mul(t, t))])
     b0 = float(np.sqrt(1.0 - a0 * a0))
-    res = j_tangency_residual(f, f.copy())
+    res = j_tangency(f, f.copy())
     assert res == pytest.approx(2.0 * a0 * b0, abs=1e-12)
 
 
@@ -178,7 +186,7 @@ def test_perturbed_transversal_stays_j_tangent():
     scene = perturbed_scene(spec, epsilon=0.1, seed=65, num_samples=6)
     for u in scene.samples:
         f, c = eval_immersion(scene, u)
-        assert j_tangency_residual(f, c) <= 1e-10
+        assert j_tangency(f, c) <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +337,13 @@ def test_levi_civita_symmetry_and_compatibility():
                 continue
             g = levi_civita(ind.h, ind.dh)
             np.testing.assert_array_equal(g, g.transpose(0, 2, 1))
-            assert metric_compatibility_residual(ind.h, ind.dh) <= 1e-9
+            # h is parallel for its own Levi-Civita connection.
+            nabla_h = (
+                ind.dh
+                - np.einsum("pij,pk->ijk", g, ind.h)
+                - np.einsum("pik,jp->ijk", g, ind.h)
+            )
+            assert np.max(np.abs(nabla_h)) <= 1e-9
 
 
 def test_levi_civita_rejects_singular_h():
@@ -383,7 +397,9 @@ def test_dperp_direction_is_reeb_direction_on_metric_scenes():
     scene = quadric_scene(spec, seed=73, num_samples=5)
     for u in scene.samples:
         ind, pd = point_data(scene, u)
-        v = dperp_direction(pd, ind.h)
+        # {X : h(X, Z) = 0 for all Z in ker(eta)} is spanned by h^{-1} eta.
+        v = np.linalg.solve(ind.h, pd.eta)
+        v /= np.linalg.norm(v)
         xi_unit = pd.xi / np.linalg.norm(pd.xi)
         assert min(np.linalg.norm(v - xi_unit), np.linalg.norm(v + xi_unit)) <= 1e-8
 
@@ -392,14 +408,14 @@ def test_structure_report_on_quadric():
     spec = random_quadric_spec(1, 74)
     scene = quadric_scene(spec, seed=74, num_samples=3)
     ind, pd = point_data(scene, scene.samples[0])
-    rep = structure_report(ind, pd, alphas=(-1.0, 0.0, 1.0))
-    assert rep.metric_residual <= 1e-8
-    assert rep.signature == (2, 1)
-    assert rep.j_tangency_residual <= 1e-10
-    assert rep.contact_alpha_residual[-1.0] <= 1e-8
-    assert rep.contact_alpha_residual[1.0] > 1e-3
-    assert rep.sasakian_alpha_residual[-1.0] <= 1e-6
-    assert not rep.h_degenerate
+    res, sig = metric_residual(pd, ind.h)
+    assert res <= 1e-8
+    assert sig == (2, 1)
+    assert pd.tangency <= 1e-10
+    assert contact_residual(pd, ind.h, -1.0) <= 1e-8
+    assert contact_residual(pd, ind.h, 1.0) > 1e-3
+    assert sasakian_residual(pd, ind, -1.0) <= 1e-6
+    assert not ind.h_degenerate
 
 
 def test_structure_report_degenerate_h_flag():
@@ -408,7 +424,34 @@ def test_structure_report_degenerate_h_flag():
     g = Polynomial(1, [((2,), 0.0)])  # flat line: h = 0
     scene = graph_scene(g, samples=[[0.1]])
     ind, pd = point_data(scene, scene.samples[0])
-    rep = structure_report(ind, pd)
-    assert rep.h_degenerate
-    assert rep.levi_civita is None
-    assert rep.sasakian_alpha_residual == {}
+    assert ind.h_degenerate
+    with pytest.raises(DegenerateMetric):
+        levi_civita(ind.h, ind.dh)
+    with pytest.raises(DegenerateMetric):
+        sasakian_residual(pd, ind, -1.0)
+    # The battery that needs h^{-1} skips the sample instead of failing it.
+    report = run_suite(scene, "THM_EQUIV", diagnostic=True)
+    assert report.status == "skipped"
+    assert report.per_sample[0].skip_reason.startswith("degenerate:")
+
+
+@pytest.mark.parametrize("small, degenerate", [(1e-6, True), (1e-3, False)])
+def test_one_degeneracy_verdict_for_inverse_and_abs_norm(small, degenerate):
+    # h = diag(1, s, -s) has |det h| / max|h|^3 = s^2: below the 1e-10 floor
+    # at s = 1e-6 although its smallest eigenvalue is 1e-6 of the largest.
+    # The Levi-Civita inverse and the |h| norm of the operational normality
+    # defect must agree with h_is_degenerate.
+    scene = quadric_scene(random_quadric_spec(1, 76), seed=76, num_samples=1)
+    ind, pd = point_data(scene, scene.samples[0])
+    h = np.diag([1.0, small, -small])
+
+    def raises(fn, *args):
+        try:
+            fn(*args)
+        except DegenerateMetric:
+            return True
+        return False
+
+    assert h_is_degenerate(h) == degenerate
+    assert raises(levi_civita, h, np.zeros((3, 3, 3))) == degenerate
+    assert raises(normality_residuals, pd, replace(ind, h=h)) == degenerate

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from parageom.errors import HypothesisNotMet
+from parageom import theorems
 from parageom.hypersurface import (
     hyperbola_scene,
     perturbed_scene,
@@ -12,21 +12,26 @@ from parageom.hypersurface import (
 )
 from parageom.paracomplex import QuadricSpec, random_quadric_spec
 from parageom.theorems import (
+    CONVERSE_TOLERANCES,
     SCENE_SUITES,
     analyze_point,
+    analyze_scene,
     run_suite,
-    verify_cor_wzory,
-    verify_lem_cubic,
-    verify_lem_est,
     verify_quadric_converse,
-    verify_quadric_forward,
-    verify_thm_stau,
-    verify_tw_wzory,
 )
 
 
 def fixed_n1_spec():
     return QuadricSpec(n=1, P=np.eye(2), R_skew=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def identities(scene, theorem_id, diagnostic=False):
+    """Per-sample identity dicts of one battery; every sample must have been
+    evaluated (neither gated nor degenerate)."""
+    report = run_suite(scene, theorem_id, diagnostic=diagnostic)
+    for s in report.per_sample:
+        assert not s.skipped, (theorem_id, s.index, s.skip_reason)
+    return [s.identities for s in report.per_sample]
 
 
 # ----------------------------------------------------------------------
@@ -41,8 +46,7 @@ def test_tw_wzory_small_on_tangent_scenes():
         perturbed_scene(random_quadric_spec(1, 83), epsilon=0.1, seed=83, num_samples=5),
     ]
     for scene in scenes:
-        for u in scene.samples:
-            ids = verify_tw_wzory(scene, u)
+        for ids in identities(scene, "TW_WZORY"):
             assert max(ids.values()) <= 1e-8, (scene.family, ids)
 
 
@@ -69,9 +73,10 @@ def test_tw_wzory_hyperbola_eta_shape_reads_minus_one():
 
 def test_tw_wzory_gated_on_non_tangent_scene():
     scene = random_graph_scene(1, seed=85, num_samples=3)
-    with pytest.raises(HypothesisNotMet):
-        verify_tw_wzory(scene, scene.samples[0])
-    ids = verify_tw_wzory(scene, scene.samples[0], diagnostic=True)
+    gated = run_suite(scene, "TW_WZORY").per_sample[0]
+    assert gated.skipped
+    assert gated.skip_reason.startswith("gate: transversal not J-tangent")
+    ids = identities(scene, "TW_WZORY", diagnostic=True)[0]
     assert set(ids) == {
         "eta_nabla",
         "phi_nabla",
@@ -89,8 +94,7 @@ def test_tw_wzory_gated_on_non_tangent_scene():
 def test_cor_wzory_small_on_quadrics():
     for n, seed in [(1, 86), (2, 87)]:
         scene = quadric_scene(random_quadric_spec(n, seed), seed=seed, num_samples=5)
-        for u in scene.samples:
-            ids = verify_cor_wzory(scene, u)
+        for ids in identities(scene, "COR_WZORY"):
             assert max(ids.values()) <= 1e-7
 
 
@@ -133,8 +137,7 @@ def test_cor_wzory_vacuous_at_n0():
 def test_lem_est_on_quadrics():
     for n, seed in [(1, 89), (2, 90)]:
         scene = quadric_scene(random_quadric_spec(n, seed), seed=seed, num_samples=5)
-        for u in scene.samples:
-            ids = verify_lem_est(scene, u)
+        for ids in identities(scene, "LEM_EST"):
             assert ids["eta_equals_h_xi"] <= 1e-8
             assert ids["shape_preserves_kernel"] <= 1e-8
             assert ids["z0_in_kernel"] <= 1e-8
@@ -144,16 +147,15 @@ def test_lem_est_on_quadrics():
 
 def test_lem_est_hyperbola_z0_vanishes():
     scene = hyperbola_scene(samples=[[0.5]])
-    ids = verify_lem_est(scene, scene.samples[0])
+    (ids,) = identities(scene, "LEM_EST")
     assert ids["info_z0_norm"] <= 1e-12
 
 
 def test_lem_est_gate_on_perturbed_scene():
     scene = perturbed_scene(random_quadric_spec(1, 91), epsilon=0.1, seed=91,
                             num_samples=3)
-    with pytest.raises(HypothesisNotMet):
-        verify_lem_est(scene, scene.samples[0])
     report = run_suite(scene, "LEM_EST")
+    assert report.per_sample[0].skip_reason.startswith("gate: structure not metric")
     assert report.status == "skipped"
     assert all(s.skip_reason.startswith("gate:") for s in report.per_sample)
 
@@ -161,8 +163,7 @@ def test_lem_est_gate_on_perturbed_scene():
 def test_lem_cubic_on_quadrics():
     for n, seed in [(1, 92), (2, 93)]:
         scene = quadric_scene(random_quadric_spec(n, seed), seed=seed, num_samples=5)
-        for u in scene.samples:
-            ids = verify_lem_cubic(scene, u)
+        for ids in identities(scene, "LEM_CUBIC"):
             assert ids["cubic_phi_reflection"] <= 1e-7
             assert ids["cubic_kernel_vanishing"] <= 1e-7
             assert ids["cubic_reeb_slot"] <= 1e-7
@@ -181,28 +182,27 @@ def test_lem_cubic_vacuous_at_n0():
 
 def test_thm_stau_on_quadrics():
     scene = quadric_scene(random_quadric_spec(2, 94), seed=94, num_samples=6)
-    for u in scene.samples:
-        s_plus_id, tau_norm = verify_thm_stau(scene, u)
-        assert s_plus_id <= 1e-8
-        assert tau_norm <= 1e-8
+    for ids in identities(scene, "THM_STAU"):
+        assert ids["s_plus_id"] <= 1e-8
+        assert ids["tau_norm"] <= 1e-8
 
 
 def test_thm_stau_hyperbola_exact():
     scene = hyperbola_scene(samples=[[0.7]])
-    s_plus_id, tau_norm = verify_thm_stau(scene, scene.samples[0])
-    assert s_plus_id <= 1e-14
-    assert tau_norm <= 1e-14
+    (ids,) = identities(scene, "THM_STAU")
+    assert ids["s_plus_id"] <= 1e-14
+    assert ids["tau_norm"] <= 1e-14
 
 
 def test_thm_stau_perturbed_diagnostic_mode():
     spec = random_quadric_spec(1, 95)
     scene = perturbed_scene(spec, epsilon=0.1, seed=95, num_samples=8)
+    gated = run_suite(scene, "THM_STAU")
+    for s in gated.per_sample:
+        assert s.skip_reason.startswith("gate: structure not metric")
     hits = 0
-    for u in scene.samples:
-        with pytest.raises(HypothesisNotMet):
-            verify_thm_stau(scene, u)
-        s_plus_id, _ = verify_thm_stau(scene, u, diagnostic=True)
-        if s_plus_id > 1e-2:
+    for ids in identities(scene, "THM_STAU", diagnostic=True):
+        if ids["s_plus_id"] > 1e-2:
             hits += 1
     assert hits >= int(0.9 * len(scene.samples))
 
@@ -213,15 +213,15 @@ def test_thm_stau_perturbed_diagnostic_mode():
 
 def test_quadric_forward_battery():
     scene = quadric_scene(random_quadric_spec(1, 96), seed=96, num_samples=6)
-    for u in scene.samples:
-        assert verify_quadric_forward(scene, u) <= 1e-7
+    for ids in identities(scene, "THM_QUADRIC_FWD"):
+        assert ids["cubic_max"] <= 1e-7
 
 
 def test_quadric_forward_fails_on_generic_graph():
     scene = random_graph_scene(1, seed=97, num_samples=8)
     hits = 0
-    for u in scene.samples:
-        if verify_quadric_forward(scene, u, diagnostic=True) > 1e-3:
+    for ids in identities(scene, "THM_QUADRIC_FWD", diagnostic=True):
+        if ids["cubic_max"] > 1e-3:
             hits += 1
     assert hits >= int(0.75 * len(scene.samples))
 
@@ -236,6 +236,24 @@ def test_all_suites_pass_on_quadric_scene():
         report = run_suite(scene, suite)
         assert report.status == "passed", (suite, report.max_residual)
         assert report.num_skipped == 0
+
+
+def test_normality_computed_once_per_sample(monkeypatch):
+    # PROP_NORMAL, THM_EQUIV and the converse row share one normality
+    # evaluation per sample when they run over the same analyses.
+    calls = []
+    real = theorems.normality_residuals
+
+    def counted(pd, ind):
+        calls.append(ind.u)
+        return real(pd, ind)
+
+    monkeypatch.setattr(theorems, "normality_residuals", counted)
+    scene = quadric_scene(random_quadric_spec(1, 98), seed=98, num_samples=6)
+    analyses = analyze_scene(scene)
+    for suite in SCENE_SUITES + ("THM_QUADRIC_CONV",):
+        assert run_suite(scene, suite, analyses=analyses).status == "passed", suite
+    assert len(calls) == len(scene.samples)
 
 
 def test_metric_suite_fails_on_perturbed_scene():
@@ -328,6 +346,17 @@ def test_converse_detects_sphere_style_matrix():
     assert report.status == "failed"
     for s in report.per_sample:
         assert s.identities["j_tangency"] > 1e-3 or s.identities["metric"] > 1e-3
+
+
+def test_converse_is_a_battery_row():
+    spec = random_quadric_spec(1, 102)
+    report = verify_quadric_converse(spec, num_samples=4, seed=102)
+    scene = quadric_scene(spec, seed=102, num_samples=4)
+    assert run_suite(scene, "THM_QUADRIC_CONV").to_dict() == report.to_dict()
+    assert report.gate is None
+    assert report.tolerance == CONVERSE_TOLERANCES
+    assert report.tolerance is not CONVERSE_TOLERANCES
+    assert "THM_QUADRIC_CONV" not in SCENE_SUITES
 
 
 def test_converse_report_serializes():
