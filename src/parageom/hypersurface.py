@@ -11,7 +11,10 @@ derivatives in jet arithmetic (no finite differences anywhere).  f and C are
 evaluated as order-3 jets; after the derivatives d_i f, d_j d_i f and d_i C
 everything is truncated to first-order jets: the frame matrix
 B = [e_1 .. e_m | C] is a matrix of value-plus-gradient jets and the
-decompositions are exact truncated-polynomial linear solves.
+decompositions are exact truncated-polynomial linear solves.  Sampling
+screens candidate chart points with order-1 jets of f and C, since the frame
+value B0 is all the screen tests: it builds no order-3 jet and no ``Frame``,
+and each kept point is evaluated at order 3 once, by its analysis.
 
 From those come the curvature tensor, the covariant derivative of h, the
 totally symmetric cubic form and the exterior derivative of tau, plus the
@@ -46,7 +49,7 @@ from .errors import (
     GenerationError,
     ShapeError,
 )
-from .jets import JetSpace, jet_space
+from .jets import MAX_ORDER, JetSpace, jet_space
 from .paracomplex import QuadricSpec, apply_J
 
 FAMILIES = ("hyperbola", "quadric_radial", "perturbed_transversal", "explicit_graph")
@@ -365,16 +368,18 @@ def random_graph_scene(
 # evaluation
 
 
-def eval_immersion(scene: ImmersionScene, u: np.ndarray):
-    """Jets of the immersion and the transversal at a chart point.
+def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER):
+    """Jets of the immersion and the transversal at a chart point, of total
+    degree <= ``order``.
 
-    Returns ``(f, C)`` as ``(ambient_dim, ncoeff)`` coefficient arrays.
+    Returns ``(f, C)`` as ``(ambient_dim, ncoeff)`` coefficient arrays.  The
+    coefficients of degree <= 1 do not depend on ``order``.
     """
     u = np.asarray(u, dtype=float)
     m = scene.chart_dim
     if u.shape != (m,):
         raise ShapeError(f"chart point shape {u.shape} != ({m},)")
-    space = jet_space(m)
+    space = jet_space(m, order)
     seeds = space.seeds(u)
 
     if scene.family == "hyperbola":
@@ -415,6 +420,19 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray):
     return f, c
 
 
+def _frame_value(f_jet: np.ndarray, C_jet: np.ndarray):
+    """B0 = [d_1 f .. d_m f | C] at the chart point, from jets of f and C of
+    any order, and its condition number.  Raises DegenerateFrame when B0 is
+    too ill-conditioned to decompose against; ``Frame`` and the sample screen
+    of ``draw_samples`` share this test."""
+    m = f_jet.shape[0] - 1
+    b0 = np.concatenate([f_jet[:, 1 : m + 1], C_jet[:, :1]], axis=1)
+    cond = np.linalg.cond(b0)
+    if not np.isfinite(cond) or cond > FRAME_COND_LIMIT:
+        raise DegenerateFrame(f"frame condition number {cond:.3g}")
+    return b0, float(cond)
+
+
 class Frame:
     """The frame B = [e_1 .. e_m | C] as first-order jets, and its decompositions.
 
@@ -442,16 +460,12 @@ class Frame:
         k = self.space.ncoeff
         self.tangent_jets = self.tangent2[..., :k]
         self.C_jet = C_jet[:, :k]
-        b = np.concatenate([self.tangent_jets, self.C_jet[:, None, :]], axis=1)
-        b0 = b[:, :, 0]
-        cond = np.linalg.cond(b0)
-        if not np.isfinite(cond) or cond > FRAME_COND_LIMIT:
-            raise DegenerateFrame(f"frame condition number {cond:.3g}")
-        self.b0 = b0
-        self.cond = float(cond)
-        nilpotent = b.copy()
+        self.b0, self.cond = _frame_value(f_jet, C_jet)
+        nilpotent = np.concatenate([self.tangent_jets, self.C_jet[:, None, :]], axis=1)
         nilpotent[:, :, 0] = 0.0
-        self._neumann = np.linalg.solve(b0, nilpotent.reshape(dim, -1)).reshape(b.shape)
+        self._neumann = np.linalg.solve(
+            self.b0, nilpotent.reshape(dim, -1)
+        ).reshape(nilpotent.shape)
 
     def decompose_jets(self, v: np.ndarray):
         """Split a stack of first-order jet vectors (dim, ..., ncoeff) into
@@ -480,8 +494,7 @@ class InducedData:
 
     Index conventions: ``Gamma[k, i, j]`` is the e_k coefficient of D_i e_j,
     ``S[k, j]`` the e_k coefficient of -D_j C, ``dX[l, ...]`` the derivative
-    of X along chart direction l.  ``h_degenerate`` reports (without raising)
-    the verdict of ``h_is_degenerate`` at this sample.
+    of X along chart direction l.
     """
 
     n: int
@@ -495,7 +508,6 @@ class InducedData:
     dh: np.ndarray
     dS: np.ndarray
     dtau_raw: np.ndarray
-    h_degenerate: bool
 
 
 @dataclass
@@ -529,20 +541,18 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     s_j = -tang[:, npairs:]
     tau_j = transv[npairs:]
 
-    h = h_j[..., 0]
     return InducedData(
         n=scene.n,
         u=u,
         frame=frame,
         Gamma=gamma_j[..., 0],
-        h=h,
+        h=h_j[..., 0],
         S=s_j[..., 0],
         tau=tau_j[..., 0],
         dGamma=np.moveaxis(space.grad(gamma_j), -1, 0),
         dh=np.moveaxis(space.grad(h_j), -1, 0),
         dS=np.moveaxis(space.grad(s_j), -1, 0),
         dtau_raw=np.moveaxis(space.grad(tau_j), -1, 0),
-        h_degenerate=h_is_degenerate(h),
     )
 
 
@@ -624,7 +634,11 @@ def draw_samples(
     sample_box: float = DEFAULT_SAMPLE_BOX,
 ) -> list:
     """Seeded chart points in [-box, box]^m, rejecting points that leave the
-    chart (quadric value <= 0.1) or whose frame is too ill-conditioned."""
+    chart (quadric value <= 0.1) or whose frame is too ill-conditioned.
+
+    The screen evaluates f and C only to first order, which fixes the frame
+    value B0 exactly, and applies the condition test of ``Frame`` to it, so
+    it keeps the same points as building the full frame would."""
     if num_samples < 1:
         raise ShapeError(f"num_samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng([seed, 2])
@@ -638,8 +652,7 @@ def draw_samples(
         if _chart_quality(scene, u) <= CHART_Q_MIN:
             continue
         try:
-            f, c = eval_immersion(scene, u)
-            Frame(jet_space(m), f, c)
+            _frame_value(*eval_immersion(scene, u, order=1))
         except (ChartLeak, DegenerateFrame):
             continue
         samples.append(u)

@@ -221,8 +221,14 @@ class JetSpace:
         return a[..., self.index[alpha]] * fac
 
 
-@lru_cache(maxsize=None)
 def jet_space(num_vars: int, order: int = MAX_ORDER) -> JetSpace:
+    """The shared JetSpace for ``num_vars`` and ``order``: one instance per
+    pair, however the arguments are spelled."""
+    return _jet_space(num_vars, order)
+
+
+@lru_cache(maxsize=None)
+def _jet_space(num_vars: int, order: int) -> JetSpace:
     return JetSpace(num_vars, order)
 
 

@@ -206,12 +206,10 @@ def normality_residuals(pd: ParacontactData, induced: InducedData):
     if pd.n == 0:
         return nijenhuis, 0.0
     habs = _abs_h_norm_matrix(induced.h)
-    s, tau = induced.S, induced.tau
-    worst = 0.0
-    for z in pd.D_basis:
-        v = s @ (pd.phi @ z) - pd.phi @ (s @ z) + float(tau @ z) * pd.xi
-        worst = max(worst, float(np.sqrt(v @ habs @ v)))
-    return nijenhuis, worst
+    s, z = induced.S, pd.D_basis
+    # Rows S phi Z_a - phi S Z_a + tau(Z_a) xi.
+    v = (z @ pd.phi.T) @ s.T - (z @ s.T) @ pd.phi.T + np.outer(z @ induced.tau, pd.xi)
+    return nijenhuis, float(np.max(np.sqrt(np.einsum("ak,ak->a", v @ habs, v))))
 
 
 def contact_residual(pd: ParacontactData, h: np.ndarray, alpha: float) -> float:

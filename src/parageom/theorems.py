@@ -283,16 +283,6 @@ def _tw_wzory_identities(pa: PointAnalysis) -> dict:
     }
 
 
-def _nabla_field(g, x_val, y_val, dy):
-    """(nabla_X Y)^k for fields given by coordinates and derivatives
-    (dy[k, l] = d_l Y^k)."""
-    return dy @ x_val + np.einsum("klm,l,m->k", g, x_val, y_val)
-
-
-def _bracket_field(x_val, dx, y_val, dy):
-    return dy @ x_val - dx @ y_val
-
-
 def _cor_wzory_identities(pa: PointAnalysis) -> tuple:
     ind, pd = pa.ind, pa.pd
     if pd.n == 0:
@@ -307,45 +297,35 @@ def _cor_wzory_identities(pa: PointAnalysis) -> tuple:
 
     g, h, tau = ind.Gamma, ind.h, ind.tau
     eta, phi, xi = pd.eta, pd.phi, pd.xi
-    z_vals = pd.D_basis
-    z_ders = pd.dbasis  # [a, k, l]
-    xi_der = pd.dxi.T  # [k, l]
-    dphi = pd.dphi
+    # Fields over the ker(eta) basis: rows Z_a, d_l Z_a^k as dz[a, k, l].
+    z, dz = pd.D_basis, pd.dbasis
+    pz = z @ phi.T  # rows phi Z_a
+    dpz = np.einsum("lkm,am->akl", pd.dphi, z) + np.einsum("km,aml->akl", phi, dz)
+    gz = np.einsum("klm,al->akm", g, z)  # Gamma(Z_a, .)
+    # Z_a(Y_b) and the covariant derivatives nabla_{Z_a} Y_b, index [a, b, k].
+    dzz = np.einsum("bkl,al->abk", dz, z)
+    nab = dzz + np.einsum("akm,bm->abk", gz, z)
+    nab_pz = np.einsum("bkl,al->abk", dpz, z) + np.einsum("akm,bm->abk", gz, pz)
+    h_zpz = z @ h @ pz.T  # h(Z_a, phi Z_b)
+    h_xipz = xi @ h @ pz.T  # h(xi, phi Z_a)
+    nab_xi_z = dz @ xi + z @ np.einsum("klm,l->km", g, xi).T
 
-    def phi_field(a):
-        val = phi @ z_vals[a]
-        der = np.einsum("lkm,m->kl", dphi, z_vals[a]) + phi @ z_ders[a]
-        return val, der
-
-    r1 = r2 = r3 = r4 = r5 = 0.0
-    for a in range(z_vals.shape[0]):
-        za, dza = z_vals[a], z_ders[a]
-        pa_val, _ = phi_field(a)
-        # eta(nabla_xi Z) = h(xi, phi Z)
-        r2 = max(r2, abs(float(eta @ _nabla_field(g, xi, za, dza) - xi @ h @ pa_val)))
-        # eta([Z, xi]) = -h(xi, phi Z) + tau(Z)
-        br = _bracket_field(za, dza, xi, xi_der)
-        r5 = max(r5, abs(float(eta @ br + xi @ h @ pa_val - tau @ za)))
-        for b in range(z_vals.shape[0]):
-            zb, dzb = z_vals[b], z_ders[b]
-            pb_val, pb_der = phi_field(b)
-            nab = _nabla_field(g, za, zb, dzb)
-            # eta(nabla_Z W) = h(Z, phi W)
-            r1 = max(r1, abs(float(eta @ nab - za @ h @ pb_val)))
-            # phi(nabla_Z W) = nabla_Z(phi W) - h(Z, W) xi
-            vec = phi @ nab - _nabla_field(g, za, pb_val, pb_der) + float(za @ h @ zb) * xi
-            r3 = max(r3, float(np.max(np.abs(vec))))
-            # eta([Z, W]) = h(Z, phi W) - h(W, phi Z)
-            br = _bracket_field(za, dza, zb, dzb)
-            r4 = max(
-                r4, abs(float(eta @ br - za @ h @ pb_val + zb @ h @ pa_val))
-            )
+    # eta(nabla_Z W) = h(Z, phi W)
+    r1 = nab @ eta - h_zpz
+    # eta(nabla_xi Z) = h(xi, phi Z)
+    r2 = nab_xi_z @ eta - h_xipz
+    # phi(nabla_Z W) = nabla_Z(phi W) - h(Z, W) xi
+    r3 = nab @ phi.T - nab_pz + (z @ h @ z.T)[..., None] * xi
+    # eta([Z, W]) = h(Z, phi W) - h(W, phi Z)
+    r4 = (dzz - dzz.transpose(1, 0, 2)) @ eta - h_zpz + h_zpz.T
+    # eta([Z, xi]) = -h(xi, phi Z) + tau(Z)
+    r5 = (z @ pd.dxi - dz @ xi) @ eta + h_xipz - z @ tau
     return {
-        "eta_nabla_zw": r1,
-        "eta_nabla_xi_z": r2,
-        "phi_nabla_zw": r3,
-        "eta_bracket_zw": r4,
-        "eta_bracket_z_xi": r5,
+        "eta_nabla_zw": float(np.max(np.abs(r1))),
+        "eta_nabla_xi_z": float(np.max(np.abs(r2))),
+        "phi_nabla_zw": float(np.max(np.abs(r3))),
+        "eta_bracket_zw": float(np.max(np.abs(r4))),
+        "eta_bracket_z_xi": float(np.max(np.abs(r5))),
     }, []
 
 
@@ -382,15 +362,13 @@ def _lem_cubic_identities(pa: PointAnalysis) -> tuple:
         return out, names
     z = pd.D_basis
     zphi = z @ pd.phi.T  # rows are phi Z_a
-    q_zz = np.einsum("ijk,aj,bk->iab", q, z, z)
-    q_pp = np.einsum("ijk,aj,bk->iab", q, zphi, zphi)
+    q_zz = z @ (q @ z.T)  # Q(., Z_a, Z_b) as [i, a, b]
+    q_pp = zphi @ (q @ zphi.T)
     r1 = float(np.max(np.abs(q_zz + q_pp)))
-    r2 = float(np.max(np.abs(np.einsum("ijk,ai,bj,ck->abc", q, z, z, z))))
-    sz = z @ ind.S.T  # rows are S Z_a
-    h_sw_phiw = np.einsum("ak,kl,al->a", sz, ind.h, zphi)
-    q_xi = np.einsum("ijk,i,aj,ak->a", q, pd.xi, z, z)
-    s_phi = zphi @ ind.S.T
-    h_sphi_w = np.einsum("ak,kl,al->a", s_phi, ind.h, z)
+    r2 = float(np.max(np.abs(z @ q_zz.reshape(len(q), -1))))  # Q(Z_a, Z_b, Z_c)
+    h_sw_phiw = np.einsum("ak,ak->a", z @ ind.S.T @ ind.h, zphi)
+    q_xi = np.einsum("i,iaa->a", pd.xi, q_zz)
+    h_sphi_w = np.einsum("ak,ak->a", zphi @ ind.S.T @ ind.h, z)
     r3 = float(
         max(np.max(np.abs(q_xi + h_sw_phiw)), np.max(np.abs(h_sw_phiw + h_sphi_w)))
     )

@@ -6,12 +6,15 @@ import pytest
 from parageom import jet_space
 from parageom.errors import ChartLeak, DegenerateFrame, ShapeError
 from parageom.hypersurface import (
+    CHART_Q_MIN,
     Frame,
     Polynomial,
     derive_tensors,
+    draw_samples,
     eval_immersion,
     fundamental_residuals,
     graph_scene,
+    h_is_degenerate,
     hyperbola_scene,
     induced_data,
     perturbed_scene,
@@ -163,7 +166,7 @@ def test_hyperbola_induced_closed_form():
         assert ind.h[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert ind.S[0, 0] == pytest.approx(-1.0, abs=1e-12)
         assert abs(ind.tau[0]) <= 1e-12
-        assert not ind.h_degenerate
+        assert not h_is_degenerate(ind.h)
 
 
 def test_quadric_h_matches_ambient_formula():
@@ -193,7 +196,7 @@ def test_graph_h_is_hessian_and_degeneracy_reported():
     ind = induced_data(scene, scene.samples[0])
     np.testing.assert_allclose(ind.h, np.diag([2.0, -2.0, 0.0]), atol=1e-13)
     np.testing.assert_allclose(ind.Gamma, 0.0, atol=1e-13)
-    assert ind.h_degenerate
+    assert h_is_degenerate(ind.h)
 
 
 def test_random_quadratic_graph_h_equals_hessian():
@@ -321,6 +324,66 @@ def test_draw_samples_respects_chart():
     scene = quadric_scene(random_quadric_spec(2, 56), seed=22)
     for u in scene.samples:
         assert _chart_quality(scene, u) > 0.1
+
+
+def reference_screen(scene, seed, num_samples, sample_box):
+    """The sample screen built on the full order-3 ``Frame``: the points it
+    keeps, and its rejections by kind."""
+    from parageom.hypersurface import _chart_quality
+
+    rng = np.random.default_rng([seed, 2])
+    m = scene.chart_dim
+    samples, rejected = [], {"chart": 0, "frame": 0}
+    for _ in range(50 * num_samples + 100):
+        if len(samples) == num_samples:
+            break
+        u = rng.uniform(-sample_box, sample_box, size=m)
+        if _chart_quality(scene, u) <= CHART_Q_MIN:
+            rejected["chart"] += 1
+            continue
+        try:
+            f, c = eval_immersion(scene, u)
+            Frame(jet_space(m), f, c)
+        except ChartLeak:
+            rejected["chart"] += 1
+            continue
+        except DegenerateFrame:
+            rejected["frame"] += 1
+            continue
+        samples.append(u)
+    return samples, rejected
+
+
+def ill_conditioned_scene():
+    # A large perturbation makes most frames too ill-conditioned, and the
+    # wide box reaches where the radial chart degrades.
+    return perturbed_scene(
+        random_quadric_spec(1, 3), epsilon=1e4, seed=3, num_samples=2, sample_box=1.0
+    )
+
+
+def test_sample_screen_keeps_the_full_frame_screen_points():
+    scene = ill_conditioned_scene()
+    want, rejected = reference_screen(scene, 3, 60, 1.0)
+    assert rejected["chart"] > 0 and rejected["frame"] > 0, rejected
+    got = draw_samples(scene, 3, 60, 1.0)
+    assert len(got) == len(want) == 60
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_draw_samples_builds_no_frame(monkeypatch):
+    scene = ill_conditioned_scene()
+    built = []
+    init = Frame.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Frame, "__init__", counting_init)
+    assert len(draw_samples(scene, 3, 20, 1.0)) == 20
+    assert not built
 
 
 def test_epsilon_zero_perturbation_matches_plain_quadric():

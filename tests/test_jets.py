@@ -286,6 +286,13 @@ def test_lower_order_layouts_are_prefixes(num_vars):
     assert jet_space(num_vars, 1).ncoeff == num_vars + 1
 
 
+@pytest.mark.parametrize("num_vars", [1, 7])
+def test_jet_space_is_one_instance_per_order(num_vars):
+    three = jet_space(num_vars)
+    assert three is jet_space(num_vars, 3) is jet_space(num_vars, order=3)
+    assert jet_space(num_vars, 1) is jet_space(num_vars, order=1) is not three
+
+
 def test_jet_space_rejects_bad_order():
     for order in (0, 4):
         with pytest.raises(ShapeError):
