@@ -19,6 +19,7 @@ samples unusable, or no admissible base point).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -386,10 +387,7 @@ def cmd_gen_quadric(n, seed, out, num_samples=DEFAULT_NUM_SAMPLES,
 # parameter sweeps
 
 
-def cmd_sweep(path, param="epsilon", values=()) -> int:
-    if param != "epsilon":
-        print(f"error: unsupported sweep parameter {param!r}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_sweep(path, values=()) -> int:
     if not values:
         print("error: empty sweep value list", file=sys.stderr)
         return EXIT_INPUT
@@ -408,15 +406,7 @@ def cmd_sweep(path, param="epsilon", values=()) -> int:
     print(f"{'epsilon':>10}  {'metric':>12}  {'s_plus_id':>12}  {'tau':>12}")
     worst_code = EXIT_PASS
     for eps in values:
-        swept = perturbed_scene(
-            scene.params["quadric"],
-            epsilon=float(eps),
-            base_point=scene.params["base_point"],
-            basis=scene.params["basis"],
-            direction=scene.params["direction"],
-            tolerances=scene.tolerances,
-            samples=scene.samples,
-        )
+        swept = dataclasses.replace(scene, params={**scene.params, "epsilon": float(eps)})
         report, code = run_verification(
             swept, ["METRIC", "THM_STAU"], diagnostic=True, timing=False
         )
@@ -501,7 +491,7 @@ def main(argv=None) -> int:
     except ValueError:
         print(f"error: bad sweep values {args.values!r}", file=sys.stderr)
         return EXIT_INPUT
-    return cmd_sweep(args.scene, args.param, values)
+    return cmd_sweep(args.scene, values)
 
 
 if __name__ == "__main__":

@@ -442,7 +442,7 @@ class Frame:
     space ``self.space``, where ``tangent_jets`` and ``C_jet`` are the
     truncated e_i and C.  The inverse of B in that jet algebra is B0^{-1}
     corrected by a Neumann series in the nilpotent part, which terminates
-    after one term per order, so decompositions carry first derivatives
+    after one term at order 1, so decompositions carry first derivatives
     exactly.
     """
 
@@ -471,17 +471,8 @@ class Frame:
         """Split a stack of first-order jet vectors (dim, ..., ncoeff) into
         tangential coordinates (m, ..., ncoeff) and the transversal coefficient."""
         x = np.linalg.solve(self.b0, v.reshape(self.dim, -1)).reshape(v.shape)
-        single = v.ndim == 2
-        if single:
-            x = x[:, None, :]
-        acc = x.copy()
-        term = x
-        for _ in range(self.space.order):
-            term = -self.space.matvec(self._neumann, term)
-            acc += term
-        if single:
-            acc = acc[:, 0, :]
-        return acc[: self.m], acc[self.m]
+        x = x - self.space.matvec(self._neumann, x)
+        return x[: self.m], x[self.m]
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +521,7 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     # d_j e_i for i <= j, then d_j C, as first-order jets.
     iu, ju = np.triu_indices(m)
     npairs = len(iu)
-    d_tangent = jet_space(m, order=2).derivs(frame.tangent2, 1)  # [r, i, j, coeff]
+    d_tangent = space3.derivs(frame.tangent2, 1)  # [r, i, j, coeff]
     rhs = np.concatenate([d_tangent[:, iu, ju], space3.derivs(c, 1)], axis=1)
     tang, transv = frame.decompose_jets(rhs)
 

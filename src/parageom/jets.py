@@ -192,7 +192,9 @@ class JetSpace:
     def derivs(self, a: np.ndarray, order: int) -> np.ndarray:
         """Every first partial of ``a`` as a jet of ``order`` < ``self.order``
         (the leading coefficients of this layout): shape
-        ``(..., num_vars, ncoeff of that order)``."""
+        ``(..., num_vars, ncoeff of that order)``.  Only the coefficients of
+        degree <= ``order + 1`` of ``a`` are read, so ``a`` may be truncated
+        to them."""
         if not 0 <= order < self.order:
             raise OrderExceeded(f"partials of order-{self.order} jets reach order {self.order - 1}")
         k = math.comb(self.num_vars + order, order)

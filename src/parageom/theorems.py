@@ -28,10 +28,14 @@ evaluated at every sample of a scene:
                         ``verify_quadric_converse`` builds its scene.
 
 Every battery runs through ``run_suite``, over the per-sample analyses that
-``analyze_scene`` computes once.  Theorem hypotheses are enforced as numeric
-gates at the scene's theorem tolerance; diagnostic mode disables the gates so
-negative behaviour can be measured.  Gate skips and degeneracy skips are
-reported per sample and never silently dropped.
+``analyze_scene`` computes once.  A battery body returns only
+``{identity: residual}``, each residual a float or an ndarray of any shape;
+``_score`` alone reduces them.  An identity reads max |residual|, and one
+quantified over ker(eta) has an empty residual at n = 0, where it is
+reported vacuous instead of counted.  Theorem hypotheses are enforced as
+numeric gates at the scene's theorem tolerance; diagnostic mode disables the
+gates so negative behaviour can be measured.  Gate skips and degeneracy skips
+are reported per sample and never silently dropped.
 """
 
 from __future__ import annotations
@@ -218,22 +222,30 @@ class TheoremReport:
         }
 
 
-def _score(identities: dict, tol, vacuous_identities=()) -> tuple:
-    """(max counted residual, all-pass) over non-informational identities."""
-    worst = 0.0
-    ok = True
-    for name, value in identities.items():
-        if name in _INFORMATIONAL or name in vacuous_identities:
+def _score(residuals: dict, tol) -> tuple:
+    """``(identities, vacuous, worst, ok)`` of a body's residuals, as Python
+    values; informational and vacuous identities count in neither verdict."""
+    identities, vacuous = {}, []
+    worst, ok = 0.0, True
+    for name, r in residuals.items():
+        if isinstance(r, float):
+            value, empty = abs(float(r)), False
+        else:
+            value, empty = float(np.abs(r).max(initial=0.0)), r.size == 0
+        identities[name] = value
+        if name in _INFORMATIONAL:
             continue
-        limit = tol[name] if isinstance(tol, dict) else tol
-        worst = max(worst, abs(float(value)))
-        if abs(float(value)) > limit:
+        if empty:
+            vacuous.append(name)
+            continue
+        worst = max(worst, value)
+        if value > (tol[name] if isinstance(tol, dict) else tol):
             ok = False
-    return worst, ok
+    return identities, vacuous, worst, ok
 
 
 # ----------------------------------------------------------------------
-# battery bodies (PointAnalysis -> identities dict)
+# battery bodies (PointAnalysis -> {identity: residual})
 
 
 def _tw_wzory_identities(pa: PointAnalysis) -> dict:
@@ -274,27 +286,17 @@ def _tw_wzory_identities(pa: PointAnalysis) -> dict:
     eq6 = eta @ s + h @ xi
 
     return {
-        "eta_nabla": float(np.max(np.abs(eq1))),
-        "phi_nabla": float(np.max(np.abs(eq2))),
-        "eta_bracket": float(np.max(np.abs(eq3))),
-        "phi_bracket": float(np.max(np.abs(eq4))),
-        "eta_nabla_xi": float(np.max(np.abs(eq5))),
-        "eta_shape": float(np.max(np.abs(eq6))),
+        "eta_nabla": eq1,
+        "phi_nabla": eq2,
+        "eta_bracket": eq3,
+        "phi_bracket": eq4,
+        "eta_nabla_xi": eq5,
+        "eta_shape": eq6,
     }
 
 
-def _cor_wzory_identities(pa: PointAnalysis) -> tuple:
+def _cor_wzory_identities(pa: PointAnalysis) -> dict:
     ind, pd = pa.ind, pa.pd
-    if pd.n == 0:
-        names = [
-            "eta_nabla_zw",
-            "eta_nabla_xi_z",
-            "phi_nabla_zw",
-            "eta_bracket_zw",
-            "eta_bracket_z_xi",
-        ]
-        return {k: 0.0 for k in names}, names
-
     g, h, tau = ind.Gamma, ind.h, ind.tau
     eta, phi, xi = pd.eta, pd.phi, pd.xi
     # Fields over the ker(eta) basis: rows Z_a, d_l Z_a^k as dz[a, k, l].
@@ -321,70 +323,50 @@ def _cor_wzory_identities(pa: PointAnalysis) -> tuple:
     # eta([Z, xi]) = -h(xi, phi Z) + tau(Z)
     r5 = (z @ pd.dxi - dz @ xi) @ eta + h_xipz - z @ tau
     return {
-        "eta_nabla_zw": float(np.max(np.abs(r1))),
-        "eta_nabla_xi_z": float(np.max(np.abs(r2))),
-        "phi_nabla_zw": float(np.max(np.abs(r3))),
-        "eta_bracket_zw": float(np.max(np.abs(r4))),
-        "eta_bracket_z_xi": float(np.max(np.abs(r5))),
-    }, []
+        "eta_nabla_zw": r1,
+        "eta_nabla_xi_z": r2,
+        "phi_nabla_zw": r3,
+        "eta_bracket_zw": r4,
+        "eta_bracket_z_xi": r5,
+    }
 
 
-def _lem_est_identities(pa: PointAnalysis) -> tuple:
+def _lem_est_identities(pa: PointAnalysis) -> dict:
     ind, pd = pa.ind, pa.pd
     h, s, tau = ind.h, ind.S, ind.tau
     eta, phi, xi = pd.eta, pd.phi, pd.xi
     z0 = s @ xi + xi
-    out = {
-        "eta_equals_h_xi": float(np.max(np.abs(eta - h @ xi))),
-        "z0_in_kernel": abs(float(eta @ z0)),
-        "info_z0_norm": float(np.max(np.abs(z0))),
+    return {
+        "eta_equals_h_xi": eta - h @ xi,
+        "z0_in_kernel": eta @ z0,
+        "info_z0_norm": z0,
+        "shape_preserves_kernel": pd.D_basis @ (s.T @ eta),
+        "tau_from_z0": pd.D_basis @ tau + pd.D_basis @ h @ (phi @ z0),
     }
-    vacuous = []
-    if pd.n == 0:
-        out["shape_preserves_kernel"] = 0.0
-        out["tau_from_z0"] = 0.0
-        vacuous = ["shape_preserves_kernel", "tau_from_z0"]
-    else:
-        out["shape_preserves_kernel"] = float(np.max(np.abs(pd.D_basis @ (s.T @ eta))))
-        out["tau_from_z0"] = float(
-            np.max(np.abs(pd.D_basis @ tau + pd.D_basis @ h @ (phi @ z0)))
-        )
-    return out, vacuous
 
 
-def _lem_cubic_identities(pa: PointAnalysis) -> tuple:
+def _lem_cubic_identities(pa: PointAnalysis) -> dict:
     ind, pd = pa.ind, pa.pd
     q = pa.der.Q
-    names = ["cubic_phi_reflection", "cubic_kernel_vanishing", "cubic_reeb_slot"]
-    if pd.n == 0:
-        out = {k: 0.0 for k in names}
-        out["info_h_shape_phi"] = 0.0
-        return out, names
     z = pd.D_basis
     zphi = z @ pd.phi.T  # rows are phi Z_a
     q_zz = z @ (q @ z.T)  # Q(., Z_a, Z_b) as [i, a, b]
     q_pp = zphi @ (q @ zphi.T)
-    r1 = float(np.max(np.abs(q_zz + q_pp)))
-    r2 = float(np.max(np.abs(z @ q_zz.reshape(len(q), -1))))  # Q(Z_a, Z_b, Z_c)
     h_sw_phiw = np.einsum("ak,ak->a", z @ ind.S.T @ ind.h, zphi)
     q_xi = np.einsum("i,iaa->a", pd.xi, q_zz)
     h_sphi_w = np.einsum("ak,ak->a", zphi @ ind.S.T @ ind.h, z)
-    r3 = float(
-        max(np.max(np.abs(q_xi + h_sw_phiw)), np.max(np.abs(h_sw_phiw + h_sphi_w)))
-    )
     return {
-        "cubic_phi_reflection": r1,
-        "cubic_kernel_vanishing": r2,
-        "cubic_reeb_slot": r3,
-        "info_h_shape_phi": float(np.max(np.abs(h_sw_phiw))),
-    }, []
+        "cubic_phi_reflection": q_zz + q_pp,
+        "cubic_kernel_vanishing": z @ q_zz.reshape(len(q), -1),  # Q(Z_a, Z_b, Z_c)
+        "cubic_reeb_slot": np.concatenate((q_xi + h_sw_phiw, h_sw_phiw + h_sphi_w)),
+        "info_h_shape_phi": h_sw_phiw,
+    }
 
 
 def _thm_stau_identities(pa: PointAnalysis) -> dict:
-    m = pa.ind.S.shape[0]
     return {
-        "s_plus_id": float(np.max(np.abs(pa.ind.S + np.eye(m)))),
-        "tau_norm": float(np.max(np.abs(pa.ind.tau))),
+        "s_plus_id": pa.ind.S + np.eye(len(pa.ind.S)),
+        "tau_norm": pa.ind.tau,
     }
 
 
@@ -405,7 +387,7 @@ def _thm_equiv_identities(pa: PointAnalysis) -> dict:
 
 
 def _quadric_fwd_identities(pa: PointAnalysis) -> dict:
-    return {"cubic_max": float(np.max(np.abs(pa.der.Q)))}
+    return {"cubic_max": pa.der.Q}
 
 
 def _metric_identities(pa: PointAnalysis) -> dict:
@@ -494,7 +476,7 @@ def run_suite(
             reason = _gate_failure(pa, gate, tol)
         if reason is None:
             try:
-                result = body(pa)
+                residuals = body(pa)
             except DegenerateMetric as exc:
                 reason = f"degenerate: {exc}"
         if reason is not None:
@@ -508,15 +490,12 @@ def run_suite(
                 )
             )
             continue
-        ids, vac = result if isinstance(result, tuple) else (result, [])
-        worst, ok = _score(ids, tol, vac)
+        ids, vac, worst, ok = _score(residuals, tol)
         if theorem_id == "PROP_NORMAL":
             # The proposition is an equivalence: both residuals must sit on
             # the same side of the tolerance.
             ok = (ids["nijenhuis"] <= tol) == (ids["operational"] <= tol)
-        all_vacuous = bool(vac) and all(
-            k in vac or k in _INFORMATIONAL for k in ids
-        )
+        all_vacuous = bool(vac) and all(k in vac or k in _INFORMATIONAL for k in ids)
         outcomes.append(
             SampleOutcome(
                 index=idx,

@@ -295,7 +295,7 @@ def test_loaded_scene_round_trip(tmp_path):
 
 def test_sweep_monotone_metric_column(tmp_path, capsys):
     path = perturbed_file(tmp_path, seed=9)
-    code = cmd_sweep(path, "epsilon", [0.1, 0.01, 0.001])
+    code = cmd_sweep(path, [0.1, 0.01, 0.001])
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     rows = [line.split() for line in out.strip().splitlines()[1:]]
@@ -308,7 +308,7 @@ def test_sweep_epsilon_zero_matches_plain_quadric(tmp_path):
     scene, _, _ = load_scene_file(path)
     from parageom.theorems import analyze_scene
 
-    swept_code = cmd_sweep(path, "epsilon", [0.0])
+    swept_code = cmd_sweep(path, [0.0])
     assert swept_code == EXIT_PASS
     from parageom.hypersurface import quadric_scene
 
@@ -324,11 +324,11 @@ def test_sweep_epsilon_zero_matches_plain_quadric(tmp_path):
 
 
 def test_sweep_empty_values(tmp_path):
-    assert cmd_sweep(perturbed_file(tmp_path), "epsilon", []) == EXIT_INPUT
+    assert cmd_sweep(perturbed_file(tmp_path), []) == EXIT_INPUT
 
 
 def test_sweep_wrong_family(tmp_path):
-    assert cmd_sweep(hyperbola_file(tmp_path), "epsilon", [0.1]) == EXIT_INPUT
+    assert cmd_sweep(hyperbola_file(tmp_path), [0.1]) == EXIT_INPUT
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,9 @@ from parageom.hypersurface import (
     quadric_scene,
     random_graph_scene,
 )
+from parageom.jets import _jet_space
 from parageom.paracomplex import QuadricSpec, quadric_residual, random_quadric_spec
+from parageom.theorems import analyze_scene
 
 
 def fixed_n1_spec():
@@ -384,6 +386,18 @@ def test_draw_samples_builds_no_frame(monkeypatch):
     monkeypatch.setattr(Frame, "__init__", counting_init)
     assert len(draw_samples(scene, 3, 20, 1.0)) == 20
     assert not built
+
+
+def test_analysis_builds_one_jet_space_per_order_it_uses():
+    # The order-3 space of f and C and the order-1 space downstream of the
+    # frame; the degree <= 2 tangent jets need no space of their own.
+    _jet_space.cache_clear()
+    scene = quadric_scene(random_quadric_spec(1, 58), seed=58, num_samples=3)
+    assert all(not isinstance(pa, str) for pa in analyze_scene(scene))
+    assert _jet_space.cache_info().currsize == 2
+    for order in (1, 3):
+        jet_space(scene.chart_dim, order)
+    assert _jet_space.cache_info().currsize == 2
 
 
 def test_epsilon_zero_perturbation_matches_plain_quadric():

@@ -17,7 +17,12 @@ from parageom.hypersurface import (
 )
 from parageom.paracomplex import random_quadric_spec
 from parageom.paracontact import normality_residuals
-from parageom.theorems import _cor_wzory_identities, _lem_cubic_identities, analyze_scene
+from parageom.theorems import (
+    _cor_wzory_identities,
+    _lem_cubic_identities,
+    _score,
+    analyze_scene,
+)
 
 TOL = 1e-13
 
@@ -154,8 +159,8 @@ def test_batteries_match_pair_loop_references(label, scene):
     analyses = analyze_scene(scene)
     assert all(not isinstance(pa, str) for pa in analyses), analyses
     for pa in analyses:
-        assert_agree(_cor_wzory_identities(pa), reference_cor_wzory(pa), label)
-        assert_agree(_lem_cubic_identities(pa), reference_lem_cubic(pa), label)
+        assert_agree(_score(_cor_wzory_identities(pa), 1.0)[:2], reference_cor_wzory(pa), label)
+        assert_agree(_score(_lem_cubic_identities(pa), 1.0)[:2], reference_lem_cubic(pa), label)
         _, operational = normality_residuals(pa.pd, pa.ind)
         want = 0.0 if pa.pd.n == 0 else reference_operational_defect(pa.pd, pa.ind)
         assert abs(operational - want) <= TOL, (label, operational, want)

@@ -1,5 +1,7 @@
 """Theorem batteries: gates, residuals, vacuous handling, converse check."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,68 @@ def test_monotone_metric_residual_in_epsilon():
         if prev is not None:
             assert worst <= prev / 5.0
         prev = worst
+
+
+def test_score_reduces_residuals_to_python_values():
+    residuals = {
+        "signed": np.array([[0.5, -2.0], [1.0, 0.0]]),
+        "float": -0.25,
+        "numpy_scalar": np.float64(-0.75),
+        "empty": np.zeros((0, 3)),
+        "info_z0_norm": np.array([-7.0]),
+    }
+    ids, vacuous, worst, ok = theorems._score(residuals, 1.0)
+    assert ids == {
+        "signed": 2.0, "float": 0.25, "numpy_scalar": 0.75, "empty": 0.0,
+        "info_z0_norm": 7.0,
+    }
+    assert all(type(v) is float for v in ids.values())
+    assert vacuous == ["empty"]
+    assert worst == 2.0 and type(worst) is float
+    assert ok is False
+    # The informational 7.0 counts neither in worst nor against the tolerance.
+    assert theorems._score(residuals, 3.0)[2:] == (2.0, True)
+    assert type(theorems._score(residuals, 3.0)[3]) is bool
+    # Per-identity tolerances are looked up only for counted identities.
+    limits = {"signed": 2.5, "float": 0.1, "numpy_scalar": 1.0}
+    assert theorems._score(residuals, limits)[3] is False
+    outcome = theorems.SampleOutcome(
+        index=0, identities=ids, max_residual=worst, passed=ok,
+        vacuous_identities=vacuous,
+    )
+    assert json.loads(json.dumps(outcome.to_dict()))["passed"] is False
+
+
+# Identities quantified over ker(eta), which is trivial at n = 0, in body order.
+N0_VACUOUS = {
+    "COR_WZORY": [
+        "eta_nabla_zw", "eta_nabla_xi_z", "phi_nabla_zw", "eta_bracket_zw",
+        "eta_bracket_z_xi",
+    ],
+    "LEM_EST": ["shape_preserves_kernel", "tau_from_z0"],
+    "LEM_CUBIC": ["cubic_phi_reflection", "cubic_kernel_vanishing", "cubic_reeb_slot"],
+}
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [
+        hyperbola_scene(seed=103, num_samples=3),
+        quadric_scene(random_quadric_spec(0, 104), seed=104, num_samples=3),
+        random_graph_scene(0, seed=105, num_samples=3),
+    ],
+    ids=["hyperbola", "quadric n=0", "graph n=0"],
+)
+def test_n0_vacuous_identities(scene):
+    analyses = analyze_scene(scene)
+    for theorem_id, names in N0_VACUOUS.items():
+        report = run_suite(scene, theorem_id, diagnostic=True, analyses=analyses)
+        for s in report.per_sample:
+            assert not s.skipped, (theorem_id, s.skip_reason)
+            assert s.vacuous_identities == names, theorem_id
+            assert all(s.identities[k] == 0.0 for k in names)
+            # LEM_EST keeps two identities that do not quantify over ker(eta).
+            assert s.vacuous == (theorem_id != "LEM_EST")
 
 
 def test_unknown_suite_id():
