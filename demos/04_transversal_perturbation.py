@@ -33,7 +33,7 @@ for eps in (0.1, 0.03, 0.01, 0.003, 0.001, 0.0):
     for pa in analyze_scene(scene):
         assert not isinstance(pa, str)
         m = pa.ind.S.shape[0]
-        metric = max(metric, pa.metric_res)
+        metric = max(metric, float(np.max(np.abs(pa.metric))))
         s_def = max(s_def, float(np.max(np.abs(pa.ind.S + np.eye(m)))))
         tau = max(tau, float(np.max(np.abs(pa.ind.tau))))
         tang = max(tang, pa.pd.tangency)

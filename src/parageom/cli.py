@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -53,6 +54,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
+
+# Identities of the engine self-test (the ENGINE battery), in report order.
+_ENGINE_IDENTITIES = ("gauss", "codazzi_h", "codazzi_s", "ricci")
 
 
 class SceneFileError(ValueError):
@@ -166,6 +170,9 @@ def load_scene_file(path: str):
     box = _number(sdict.get("sample_box", DEFAULT_SAMPLE_BOX), "$.scene.sample_box")
     if box <= 0:
         raise SceneFileError("$.scene.sample_box: must be positive")
+    if box > sys.float_info.max / 2:
+        # The box [-box, box] must have a finite width to be sampled.
+        raise SceneFileError(f"$.scene.sample_box: must be at most {sys.float_info.max / 2:.6g}")
     params = sdict.get("params", {})
     if not isinstance(params, dict):
         raise SceneFileError("$.scene.params: expected an object")
@@ -232,27 +239,24 @@ def _build_scene(family, n, params, common) -> ImmersionScene:
 # verification runs
 
 
+def _identity_max(suite: dict, name: str, default: float) -> float:
+    """Max of one identity over a suite report's scored samples (a NaN
+    shows), or ``default`` when every sample was skipped."""
+    values = [s["identities"][name] for s in suite["per_sample"] if not s["skipped"]]
+    return float(np.max(values)) if values else default
+
+
 def run_verification(scene: ImmersionScene, suites, diagnostic=False, timing=True):
-    """Run the engine self-test and the selected suites; returns
-    (report dict, exit code)."""
+    """Run the engine self-test (the ENGINE battery) and the selected suites;
+    returns (report dict, exit code)."""
     analyses = analyze_scene(scene)
     total = len(analyses)
-    usable = [a for a in analyses if not isinstance(a, str)]
-    degenerate = {i for i, a in enumerate(analyses) if isinstance(a, str)}
-
-    engine_tol = float(scene.tolerances["engine"])
-    if usable:
-        worst = np.max([a.fundamental for a in usable], axis=0)
-    else:
-        worst = np.full(4, np.inf)
-    engine = {
-        "gauss": float(worst[0]),
-        "codazzi_h": float(worst[1]),
-        "codazzi_s": float(worst[2]),
-        "ricci": float(worst[3]),
-        "tolerance": engine_tol,
-        "passed": bool(np.all(worst <= engine_tol)),
-    }
+    engine_report = run_suite(scene, "ENGINE", analyses=analyses)
+    engine_suite = engine_report.to_dict()
+    engine = {k: _identity_max(engine_suite, k, math.inf) for k in _ENGINE_IDENTITIES}
+    engine["tolerance"] = engine_report.tolerance
+    engine["passed"] = engine_report.status == "passed"
+    degenerate = set(engine_report.degenerate_indices())
 
     suite_reports = {}
     timings = {}
@@ -302,12 +306,8 @@ def _print_summary(scene, report):
         f"({s['total']} samples, {s['degenerate']} degenerate)"
     )
     e = report["engine_self_test"]
-    print(
-        "engine self-test: "
-        f"gauss {e['gauss']:.2e}  codazzi_h {e['codazzi_h']:.2e}  "
-        f"codazzi_s {e['codazzi_s']:.2e}  ricci {e['ricci']:.2e}  "
-        f"[{'PASS' if e['passed'] else 'FAIL'}]"
-    )
+    maxima = "  ".join(f"{k} {e[k]:.2e}" for k in _ENGINE_IDENTITIES)
+    print(f"engine self-test: {maxima}  [{'PASS' if e['passed'] else 'FAIL'}]")
     for name, rep in report["suites"].items():
         status = rep["status"].upper()
         print(
@@ -412,20 +412,10 @@ def cmd_sweep(path, values=()) -> int:
         )
         if code == EXIT_DEGENERATE:
             worst_code = EXIT_DEGENERATE
-        metric = max(
-            (s["identities"].get("metric", 0.0)
-             for s in report["suites"]["METRIC"]["per_sample"] if not s["skipped"]),
-            default=float("nan"),
-        )
-        stau = report["suites"]["THM_STAU"]["per_sample"]
-        s_plus = max(
-            (s["identities"].get("s_plus_id", 0.0) for s in stau if not s["skipped"]),
-            default=float("nan"),
-        )
-        tau = max(
-            (s["identities"].get("tau_norm", 0.0) for s in stau if not s["skipped"]),
-            default=float("nan"),
-        )
+        metric = _identity_max(report["suites"]["METRIC"], "metric", math.nan)
+        stau = report["suites"]["THM_STAU"]
+        s_plus = _identity_max(stau, "s_plus_id", math.nan)
+        tau = _identity_max(stau, "tau_norm", math.nan)
         print(f"{eps:>10.4g}  {metric:>12.4e}  {s_plus:>12.4e}  {tau:>12.4e}")
     return worst_code
 

@@ -573,8 +573,9 @@ def derive_tensors(ind: InducedData) -> DerivedTensors:
     return DerivedTensors(R_curv=r_curv, nabla_h=nabla_h, Q=q, dtau=dtau)
 
 
-def fundamental_residuals(scene: ImmersionScene, u: np.ndarray):
-    """Max-norm residuals of the Gauss, Codazzi (h and S) and Ricci equations.
+def fundamental_residuals(scene: ImmersionScene, u: np.ndarray) -> dict:
+    """Residual tensors of the Gauss, Codazzi (h and S) and Ricci equations
+    at one chart point, as ``residuals_from_data`` returns them.
 
     These hold for any transversal field, so they are the master self-test of
     the differentiation and decomposition machinery.
@@ -583,7 +584,9 @@ def fundamental_residuals(scene: ImmersionScene, u: np.ndarray):
     return residuals_from_data(ind, derive_tensors(ind))
 
 
-def residuals_from_data(ind: InducedData, der: DerivedTensors):
+def residuals_from_data(ind: InducedData, der: DerivedTensors) -> dict:
+    """``{gauss, codazzi_h, codazzi_s, ricci}``: the raw residual tensor of
+    each structure equation."""
     h, s, g = ind.h, ind.S, ind.Gamma
     gauss = der.R_curv - (
         np.einsum("jk,li->lijk", h, s) - np.einsum("ik,lj->lijk", h, s)
@@ -598,12 +601,7 @@ def residuals_from_data(ind: InducedData, der: DerivedTensors):
     codazzi_s = t - t.transpose(2, 1, 0)
     hs = h @ s
     ricci = hs - hs.T - 2.0 * der.dtau
-    return (
-        float(np.max(np.abs(gauss))),
-        float(np.max(np.abs(codazzi_h))),
-        float(np.max(np.abs(codazzi_s))),
-        float(np.max(np.abs(ricci))),
-    )
+    return {"gauss": gauss, "codazzi_h": codazzi_h, "codazzi_s": codazzi_s, "ricci": ricci}
 
 
 # ----------------------------------------------------------------------

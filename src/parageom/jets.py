@@ -200,9 +200,6 @@ class JetSpace:
         k = math.comb(self.num_vars + order, order)
         return a[..., self._d_src[:, :k]] * self._d_fac[:, :k]
 
-    def value(self, a: np.ndarray) -> np.ndarray:
-        return a[..., 0]
-
     def grad(self, a: np.ndarray) -> np.ndarray:
         """First partials as the trailing axis: shape ``(..., num_vars)``."""
         return a[..., 1 : 1 + self.num_vars]

@@ -102,10 +102,6 @@ class QuadricSpec:
             "R_skew": self.R_skew.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadricSpec":
-        return cls(n=int(d["n"]), P=np.asarray(d["P"]), R_skew=np.asarray(d["R_skew"]))
-
 
 def random_quadric_spec(n: int, seed: int) -> QuadricSpec:
     """Draw a reproducible nondegenerate spec with entries uniform in [-1, 1].

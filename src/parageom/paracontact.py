@@ -18,6 +18,9 @@ Against the second fundamental form h this module measures, per point:
   as the operational form S phi Z - phi S Z + tau(Z) xi on ker(eta),
 * the Sasakian condition on the Levi-Civita connection of h.
 
+Each residual function returns the raw residual tensor, never its norm:
+``theorems._score`` alone reduces residuals and compares them with tolerances.
+
 All exterior derivatives use the convention
 d w(X, Y) = (X(w(Y)) - Y(w(X)) - w([X, Y])) / 2.
 """
@@ -137,35 +140,28 @@ def signature_of(h: np.ndarray):
     count; eigenvalues within ``_SIGNATURE_REL * max|eig|`` of zero count as
     neither."""
     vals = np.linalg.eigvalsh(0.5 * (h + h.T))
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    scale = float(np.abs(vals).max(initial=0.0))
     if scale == 0.0:
         return (0, 0)
     thr = _SIGNATURE_REL * scale
     return (int(np.sum(vals > thr)), int(np.sum(vals < -thr)))
 
 
-def metric_residual(pd: ParacontactData, h: np.ndarray):
-    """Max defect of h(phi X, phi Y) + h(X, Y) - eta(X) eta(Y) over the frame,
-    together with the inertia of h."""
-    defect = (
-        np.einsum("ki,lj,kl->ij", pd.phi, pd.phi, h)
-        + h
-        - np.outer(pd.eta, pd.eta)
-    )
-    return float(np.max(np.abs(defect))), signature_of(h)
+def metric_residual(pd: ParacontactData, h: np.ndarray) -> np.ndarray:
+    """Defect of h(phi X, phi Y) + h(X, Y) - eta(X) eta(Y) over frame pairs."""
+    return np.einsum("ki,lj,kl->ij", pd.phi, pd.phi, h) + h - np.outer(pd.eta, pd.eta)
 
 
 def axiom_residuals(pd: ParacontactData) -> dict:
     """Residuals of the almost paracontact axioms; all construction-level,
-    independent of any metric condition."""
+    independent of any metric condition.  ``eigen_split`` is the distance of
+    each eigenvalue of phi on ker(eta) to +-1 (0.0 at n = 0)."""
     m = pd.eta.shape[0]
     out = {
-        "phi_square": float(
-            np.max(np.abs(pd.phi @ pd.phi - np.eye(m) + np.outer(pd.xi, pd.eta)))
-        ),
-        "eta_xi": float(abs(pd.eta @ pd.xi - 1.0)),
-        "phi_xi": float(np.max(np.abs(pd.phi @ pd.xi))),
-        "eta_phi": float(np.max(np.abs(pd.eta @ pd.phi))),
+        "phi_square": pd.phi @ pd.phi - np.eye(m) + np.outer(pd.xi, pd.eta),
+        "eta_xi": pd.eta @ pd.xi - 1.0,
+        "phi_xi": pd.phi @ pd.xi,
+        "eta_phi": pd.eta @ pd.phi,
     }
     if pd.n == 0:
         out["eigen_split"] = 0.0
@@ -173,7 +169,7 @@ def axiom_residuals(pd: ParacontactData) -> dict:
         return out
     action = np.einsum("bk,kl,al->ba", pd.D_basis, pd.phi, pd.D_basis)
     vals = np.linalg.eigvals(action)
-    out["eigen_split"] = float(np.max(np.minimum(np.abs(vals - 1), np.abs(vals + 1))))
+    out["eigen_split"] = np.minimum(np.abs(vals - 1), np.abs(vals + 1))
     out["eigen_counts_ok"] = bool(int(np.sum(vals.real > 0)) == pd.n)
     return out
 
@@ -189,9 +185,9 @@ def _abs_h_norm_matrix(h: np.ndarray) -> np.ndarray:
 def normality_residuals(pd: ParacontactData, induced: InducedData):
     """(Nijenhuis defect, operational defect).
 
-    The first is the max-norm of [phi, phi] - 2 d eta (x) xi in coordinates;
-    the second is the |h|-norm of S phi Z - phi S Z + tau(Z) xi over the
-    ker(eta) basis, which is the authoritative check.
+    The first is [phi, phi] - 2 d eta (x) xi in coordinates; the second is
+    the |h|-norm of S phi Z - phi S Z + tau(Z) xi for each Z of the ker(eta)
+    basis (0.0 at n = 0), which is the authoritative check.
     """
     phi, dphi = pd.phi, pd.dphi
     nij = (
@@ -200,8 +196,7 @@ def normality_residuals(pd: ParacontactData, induced: InducedData):
         - np.einsum("kl,ilj->kij", phi, dphi)
         + np.einsum("kl,jli->kij", phi, dphi)
     )
-    defect = nij - 2.0 * np.einsum("ij,k->kij", pd.d_eta, pd.xi)
-    nijenhuis = float(np.max(np.abs(defect)))
+    nijenhuis = nij - 2.0 * np.einsum("ij,k->kij", pd.d_eta, pd.xi)
 
     if pd.n == 0:
         return nijenhuis, 0.0
@@ -209,12 +204,12 @@ def normality_residuals(pd: ParacontactData, induced: InducedData):
     s, z = induced.S, pd.D_basis
     # Rows S phi Z_a - phi S Z_a + tau(Z_a) xi.
     v = (z @ pd.phi.T) @ s.T - (z @ s.T) @ pd.phi.T + np.outer(z @ induced.tau, pd.xi)
-    return nijenhuis, float(np.max(np.sqrt(np.einsum("ak,ak->a", v @ habs, v))))
+    return nijenhuis, np.sqrt(np.einsum("ak,ak->a", v @ habs, v))
 
 
-def contact_residual(pd: ParacontactData, h: np.ndarray, alpha: float) -> float:
-    """Max defect of d eta(X, Y) = alpha * h(X, phi Y) over frame pairs."""
-    return float(np.max(np.abs(pd.d_eta - alpha * (h @ pd.phi))))
+def contact_residual(pd: ParacontactData, h: np.ndarray, alpha: float) -> np.ndarray:
+    """Defect of d eta(X, Y) = alpha * h(X, phi Y) over frame pairs."""
+    return pd.d_eta - alpha * (h @ pd.phi)
 
 
 def _require_nondegenerate(h: np.ndarray):
@@ -235,9 +230,9 @@ def levi_civita(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", h_inv, t)
 
 
-def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -> float:
-    """Max defect of (nabla-hat_X phi)(Y) = alpha(-h(X, Y) xi + eta(Y) X)
-    over frame pairs, with nabla-hat the Levi-Civita connection of h."""
+def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -> np.ndarray:
+    """Defect of (nabla-hat_X phi)(Y) = alpha(-h(X, Y) xi + eta(Y) X) over
+    frame pairs, with nabla-hat the Levi-Civita connection of h."""
     g = levi_civita(induced.h, induced.dh)
     phi = pd.phi
     nab_phi = (
@@ -250,4 +245,4 @@ def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -
         -np.einsum("ij,k->ikj", induced.h, pd.xi)
         + np.einsum("j,ki->ikj", pd.eta, np.eye(m))
     )
-    return float(np.max(np.abs(nab_phi - rhs)))
+    return nab_phi - rhs

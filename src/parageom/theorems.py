@@ -3,6 +3,9 @@
 Each named result about the induced structure becomes a battery of residuals
 evaluated at every sample of a scene:
 
+* ``ENGINE``          — the Gauss, Codazzi and Ricci equations, true for any
+                        transversal: the engine self-test of every verify
+                        run, ungated, at the scene's engine tolerance.
 * ``METRIC``          — structure-level battery (J-tangency, the almost
                         paracontact axioms, metric compatibility, signature).
 * ``TW_WZORY``        — the six connection/form identities that hold for any
@@ -23,15 +26,17 @@ evaluated at every sample of a scene:
                         the half-swap, with the position transversal, carries
                         a metric induced structure with all of the above.  It
                         is a row like the others, ungated, scored against the
-                        per-identity ``CONVERSE_TOLERANCES``; it is not one
-                        of the ``SCENE_SUITES`` a scene file may select, and
-                        ``verify_quadric_converse`` builds its scene.
+                        per-identity ``CONVERSE_TOLERANCES``; like ENGINE it
+                        is not one of the ``SCENE_SUITES`` a scene file may
+                        select, and ``verify_quadric_converse`` builds its scene.
 
 Every battery runs through ``run_suite``, over the per-sample analyses that
 ``analyze_scene`` computes once.  A battery body returns only
-``{identity: residual}``, each residual a float or an ndarray of any shape;
-``_score`` alone reduces them.  An identity reads max |residual|, and one
-quantified over ker(eta) has an empty residual at n = 0, where it is
+``{identity: residual}``, each residual a float or a raw ndarray of any shape.
+``_score`` is the only place that reduces a residual or compares it with a
+tolerance, for the batteries and the hypothesis gates alike: an identity reads
+max |residual| and passes when that is <= its tolerance, so a NaN fails.  An
+identity quantified over ker(eta) has an empty residual at n = 0, where it is
 reported vacuous instead of counted.  Theorem hypotheses are enforced as
 numeric gates at the scene's theorem tolerance; diagnostic mode disables the
 gates so negative behaviour can be measured.  Gate skips and degeneracy skips
@@ -40,6 +45,7 @@ are reported per sample and never silently dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,6 +70,7 @@ from .paracontact import (
     metric_residual,
     normality_residuals,
     sasakian_residual,
+    signature_of,
 )
 
 SCENE_SUITES = (
@@ -108,8 +115,7 @@ class PointAnalysis:
     ind: InducedData
     der: DerivedTensors
     pd: ParacontactData
-    fundamental: tuple
-    metric_res: float
+    metric: np.ndarray
     signature: tuple
 
     @cached_property
@@ -120,20 +126,23 @@ class PointAnalysis:
         batteries, not the whole sample."""
         return normality_residuals(self.pd, self.ind)
 
+    @cached_property
+    def gate_residuals(self) -> dict:
+        """``j_tangency`` and ``metric`` reduced once, for every gate."""
+        return _score({"j_tangency": self.pd.tangency, "metric": self.metric}, math.inf)[0]
+
 
 def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
     ind = induced_data(scene, u)
     der = derive_tensors(ind)
     pd = induced_structure(ind)
-    res, sig = metric_residual(pd, ind.h)
     return PointAnalysis(
         u=np.asarray(u, dtype=float),
         ind=ind,
         der=der,
         pd=pd,
-        fundamental=residuals_from_data(ind, der),
-        metric_res=res,
-        signature=sig,
+        metric=metric_residual(pd, ind.h),
+        signature=signature_of(ind.h),
     )
 
 
@@ -191,17 +200,13 @@ class TheoremReport:
         return self.status in ("passed", "vacuous")
 
     @property
-    def vacuous(self) -> bool:
-        return self.status == "vacuous"
-
-    @property
     def num_skipped(self) -> int:
         return sum(1 for s in self.per_sample if s.skipped)
 
     @property
     def max_residual(self) -> float:
         vals = [s.max_residual for s in self.per_sample if not s.skipped]
-        return max(vals) if vals else 0.0
+        return float(np.max(vals, initial=0.0))  # unlike max, lets a NaN show
 
     def degenerate_indices(self) -> list:
         return [
@@ -224,7 +229,10 @@ class TheoremReport:
 
 def _score(residuals: dict, tol) -> tuple:
     """``(identities, vacuous, worst, ok)`` of a body's residuals, as Python
-    values; informational and vacuous identities count in neither verdict."""
+    values.  Each identity reads max |residual| and is ok when that is <= its
+    tolerance (a float or one per identity), which a NaN never is; ``worst``
+    shows a NaN too.  An empty residual marks the identity vacuous;
+    informational and vacuous identities count in neither verdict."""
     identities, vacuous = {}, []
     worst, ok = 0.0, True
     for name, r in residuals.items():
@@ -238,14 +246,19 @@ def _score(residuals: dict, tol) -> tuple:
         if empty:
             vacuous.append(name)
             continue
-        worst = max(worst, value)
-        if value > (tol[name] if isinstance(tol, dict) else tol):
+        if value > worst or math.isnan(value):  # once NaN, worst stays NaN
+            worst = value
+        if not value <= (tol[name] if isinstance(tol, dict) else tol):
             ok = False
     return identities, vacuous, worst, ok
 
 
 # ----------------------------------------------------------------------
 # battery bodies (PointAnalysis -> {identity: residual})
+
+
+def _engine_identities(pa: PointAnalysis) -> dict:
+    return residuals_from_data(pa.ind, pa.der)
 
 
 def _tw_wzory_identities(pa: PointAnalysis) -> dict:
@@ -378,7 +391,7 @@ def _prop_normal_identities(pa: PointAnalysis) -> dict:
 def _thm_equiv_identities(pa: PointAnalysis) -> dict:
     nij, op = pa.normality
     return {
-        "metric": pa.metric_res,
+        "metric": pa.metric,
         "contact_minus_one": contact_residual(pa.pd, pa.ind.h, -1.0),
         "sasakian_minus_one": sasakian_residual(pa.pd, pa.ind, -1.0),
         "nijenhuis": nij,
@@ -401,7 +414,7 @@ def _metric_identities(pa: PointAnalysis) -> dict:
         "eta_phi": ax["eta_phi"],
         "eigen_split": ax["eigen_split"],
         "eigen_counts": 0.0 if ax["eigen_counts_ok"] else 1.0,
-        "metric": pa.metric_res,
+        "metric": pa.metric,
         "signature_defect": 0.0 if pa.signature == (n + 1, n) else 1.0,
     }
 
@@ -410,7 +423,7 @@ def _converse_identities(pa: PointAnalysis) -> dict:
     n = pa.pd.n
     return {
         "j_tangency": pa.pd.tangency,
-        "metric": pa.metric_res,
+        "metric": pa.metric,
         "signature_defect": 0.0 if pa.signature == (n + 1, n) else 1.0,
         **_thm_stau_identities(pa),
         **_quadric_fwd_identities(pa),
@@ -420,28 +433,32 @@ def _converse_identities(pa: PointAnalysis) -> dict:
 
 
 # theorem id -> (battery body, gate kind: None, "tangent" or "metric",
-# per-identity tolerances or None for the scene's theorem tolerance)
+# tolerance: the scene tolerance of that name, or one per identity)
 _BATTERIES = {
-    "METRIC": (_metric_identities, None, None),
-    "TW_WZORY": (_tw_wzory_identities, "tangent", None),
-    "COR_WZORY": (_cor_wzory_identities, "tangent", None),
-    "PROP_NORMAL": (_prop_normal_identities, "tangent", None),
-    "LEM_EST": (_lem_est_identities, "metric", None),
-    "LEM_CUBIC": (_lem_cubic_identities, "metric", None),
-    "THM_STAU": (_thm_stau_identities, "metric", None),
-    "THM_EQUIV": (_thm_equiv_identities, "metric", None),
-    "THM_QUADRIC_FWD": (_quadric_fwd_identities, "metric", None),
+    "ENGINE": (_engine_identities, None, "engine"),
+    "METRIC": (_metric_identities, None, "theorem"),
+    "TW_WZORY": (_tw_wzory_identities, "tangent", "theorem"),
+    "COR_WZORY": (_cor_wzory_identities, "tangent", "theorem"),
+    "PROP_NORMAL": (_prop_normal_identities, "tangent", "theorem"),
+    "LEM_EST": (_lem_est_identities, "metric", "theorem"),
+    "LEM_CUBIC": (_lem_cubic_identities, "metric", "theorem"),
+    "THM_STAU": (_thm_stau_identities, "metric", "theorem"),
+    "THM_EQUIV": (_thm_equiv_identities, "metric", "theorem"),
+    "THM_QUADRIC_FWD": (_quadric_fwd_identities, "metric", "theorem"),
     "THM_QUADRIC_CONV": (_converse_identities, None, CONVERSE_TOLERANCES),
 }
+
+# (gate residual, skip reason): a "tangent" gate checks the first, "metric" both.
+_GATES = (("j_tangency", "transversal not J-tangent"), ("metric", "structure not metric"))
 
 
 def _gate_failure(pa: PointAnalysis, gate: str | None, tol: float) -> str | None:
     if gate is None:
         return None
-    if pa.pd.tangency > tol:
-        return f"gate: transversal not J-tangent (residual {pa.pd.tangency:.3g})"
-    if gate == "metric" and pa.metric_res > tol:
-        return f"gate: structure not metric (residual {pa.metric_res:.3g})"
+    for name, what in _GATES[: 2 if gate == "metric" else 1]:
+        value = pa.gate_residuals[name]
+        if not _score({name: value}, tol)[3]:
+            return f"gate: {what} (residual {value:.3g})"
     return None
 
 
@@ -465,7 +482,7 @@ def run_suite(
     if theorem_id not in _BATTERIES:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     body, gate, tolerances = _BATTERIES[theorem_id]
-    tol = dict(tolerances) if tolerances else float(scene.tolerances["theorem"])
+    tol = dict(tolerances) if isinstance(tolerances, dict) else float(scene.tolerances[tolerances])
     if analyses is None:
         analyses = analyze_scene(scene)
 
@@ -493,8 +510,9 @@ def run_suite(
         ids, vac, worst, ok = _score(residuals, tol)
         if theorem_id == "PROP_NORMAL":
             # The proposition is an equivalence: both residuals must sit on
-            # the same side of the tolerance.
-            ok = (ids["nijenhuis"] <= tol) == (ids["operational"] <= tol)
+            # the same side of the tolerance, and a NaN sits on neither.
+            sides = {_score({k: ids[k]}, tol)[3] for k in ("nijenhuis", "operational")}
+            ok = len(sides) == 1 and not math.isnan(worst)
         all_vacuous = bool(vac) and all(k in vac or k in _INFORMATIONAL for k in ids)
         outcomes.append(
             SampleOutcome(

@@ -1,10 +1,12 @@
 """Scene files, verification runs, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from parageom import theorems
 from parageom.cli import (
     EXIT_DEGENERATE,
     EXIT_FAIL,
@@ -90,6 +92,28 @@ def test_verify_report_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_engine_self_test_is_the_engine_battery(tmp_path, monkeypatch, capsys):
+    path = hyperbola_file(tmp_path, suites=["ENGINE"])
+    assert cmd_verify(path) == EXIT_INPUT
+    assert "ENGINE" in capsys.readouterr().err
+
+    # A NaN structure-equation residual fails the self-test and shows in it.
+    real = theorems.residuals_from_data
+
+    def with_nan_ricci(ind, der):
+        out = real(ind, der)
+        out["ricci"] = np.full_like(out["ricci"], np.nan)
+        return out
+
+    monkeypatch.setattr(theorems, "residuals_from_data", with_nan_ricci)
+    report_path = tmp_path / "report.json"
+    assert cmd_verify(hyperbola_file(tmp_path), json_path=str(report_path)) == EXIT_FAIL
+    engine = json.loads(report_path.read_text())["engine_self_test"]
+    assert engine["passed"] is False
+    assert math.isnan(engine["ricci"]) and engine["gauss"] == 0.0
+    assert "ricci nan  [FAIL]" in capsys.readouterr().out
+
+
 def test_verify_missing_file():
     assert cmd_verify("/nonexistent/scene.json") == EXIT_INPUT
 
@@ -153,6 +177,7 @@ MALFORMED = [
     ("quadric_radial", ["num_samples"], 2.5, "$.scene.num_samples"),
     ("quadric_radial", ["sample_box"], INF, "$.scene.sample_box"),
     ("quadric_radial", ["sample_box"], "0.4", "$.scene.sample_box"),
+    ("quadric_radial", ["sample_box"], 1e308, "$.scene.sample_box"),
     ("quadric_radial", ["params", "quadric", "P", 0, 0], NAN, "$.scene.params.quadric.P"),
     ("quadric_radial", ["params", "quadric", "P", 1, 1], INF, "$.scene.params.quadric.P"),
     ("quadric_radial", ["params", "quadric", "R_skew", 0, 1], NAN,
@@ -320,7 +345,7 @@ def test_sweep_epsilon_zero_matches_plain_quadric(tmp_path):
     )
     for pa in analyze_scene(plain):
         assert not isinstance(pa, str)
-        assert pa.metric_res <= 1e-8
+        assert np.max(np.abs(pa.metric)) <= 1e-8
 
 
 def test_sweep_empty_values(tmp_path):

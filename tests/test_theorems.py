@@ -1,12 +1,14 @@
 """Theorem batteries: gates, residuals, vacuous handling, converse check."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from parageom import theorems
 from parageom.hypersurface import (
+    fundamental_residuals,
     hyperbola_scene,
     perturbed_scene,
     quadric_scene,
@@ -295,7 +297,7 @@ def test_monotone_metric_residual_in_epsilon():
             base_point=base.params["base_point"],
             basis=base.params["basis"],
         )
-        worst = max(analyze_point(scene, u).metric_res for u in scene.samples)
+        worst = max(float(np.max(np.abs(analyze_point(scene, u).metric))) for u in scene.samples)
         if prev is not None:
             assert worst <= prev / 5.0
         prev = worst
@@ -329,6 +331,62 @@ def test_score_reduces_residuals_to_python_values():
         vacuous_identities=vacuous,
     )
     assert json.loads(json.dumps(outcome.to_dict()))["passed"] is False
+
+
+def test_score_fails_nan_and_shows_it_in_worst():
+    nan = float("nan")
+    for residual in (np.array([nan]), nan, np.float64(nan)):
+        ids, vacuous, worst, ok = theorems._score({"x": residual}, 1e-8)
+        assert np.isnan(ids["x"]) and np.isnan(worst)
+        assert vacuous == [] and ok is False
+    # A NaN shows in worst wherever it sits among finite residuals, and fails
+    # under a per-identity tolerance too.
+    for residuals in ({"a": np.array([1.0, nan]), "b": 0.5}, {"b": 0.5, "a": nan}):
+        _, _, worst, ok = theorems._score(residuals, {"a": 10.0, "b": 10.0})
+        assert np.isnan(worst) and ok is False
+    # Informational identities still never count.
+    assert theorems._score({"info_z0_norm": nan, "x": 0.5}, 1.0)[2:] == (0.5, True)
+
+
+def test_nan_gate_residuals_skip_and_nan_residuals_fail():
+    nan = float("nan")
+    scene = quadric_scene(fixed_n1_spec(), seed=97, num_samples=2)
+    pa = analyze_point(scene, scene.samples[0])
+    not_tangent = replace(pa, pd=replace(pa.pd, tangency=nan))
+    not_metric = replace(pa, metric=np.full_like(pa.metric, nan))
+
+    report = run_suite(scene, "TW_WZORY", analyses=[not_tangent])
+    assert report.status == "skipped"
+    assert report.per_sample[0].skip_reason == "gate: transversal not J-tangent (residual nan)"
+    report = run_suite(scene, "LEM_EST", analyses=[not_metric])
+    assert report.per_sample[0].skip_reason == "gate: structure not metric (residual nan)"
+
+    # Ungated, the NaN fails the sample and shows in both maxima.
+    report = run_suite(scene, "METRIC", analyses=[pa, not_metric])
+    assert report.status == "failed"
+    assert [s.passed for s in report.per_sample] == [True, False]
+    assert np.isnan(report.per_sample[1].max_residual)
+    assert np.isnan(report.max_residual)
+
+    # Both normality defects NaN: neither side of the equivalence holds.
+    both_nan = replace(pa)
+    both_nan.normality = (np.array([nan]), np.array([nan]))
+    assert run_suite(scene, "PROP_NORMAL", analyses=[both_nan]).status == "failed"
+
+
+def test_engine_row_is_an_ungated_battery_at_the_engine_tolerance():
+    scene = quadric_scene(
+        fixed_n1_spec(), seed=96, num_samples=3, tolerances={"engine": 1e-9, "theorem": 1e-8}
+    )
+    assert "ENGINE" not in SCENE_SUITES
+    report = run_suite(scene, "ENGINE")
+    assert report.status == "passed" and report.gate is None
+    assert report.tolerance == 1e-9
+    for u, s in zip(scene.samples, report.per_sample):
+        want = fundamental_residuals(scene, u)
+        assert list(s.identities) == list(want)
+        for name, residual in want.items():
+            assert s.identities[name] == float(np.max(np.abs(residual)))
 
 
 # Identities quantified over ker(eta), which is trivial at n = 0, in body order.
@@ -391,7 +449,7 @@ def test_converse_matches_hyperbola_closed_form():
         pa = analyze_point(hyper, u)
         closed_form = {
             "j_tangency": pa.pd.tangency,
-            "metric": pa.metric_res,
+            "metric": float(np.max(np.abs(pa.metric))),
             "s_plus_id": float(np.max(np.abs(pa.ind.S + np.eye(1)))),
             "tau_norm": float(np.max(np.abs(pa.ind.tau))),
             "cubic_max": float(np.max(np.abs(pa.der.Q))),
