@@ -30,6 +30,7 @@ from .errors import (
     DegenerateJet,
     DegenerateMetric,
     GenerationError,
+    NoAdmissibleSamples,
     OrderExceeded,
     ParageomError,
     ShapeError,

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .errors import BasePointNotFound, ParageomError, ShapeError
+from .errors import BasePointNotFound, NoAdmissibleSamples, ParageomError, ShapeError
 from .hypersurface import (
     DEFAULT_NUM_SAMPLES,
     DEFAULT_SAMPLE_BOX,
@@ -182,6 +182,8 @@ def load_scene_file(path: str):
     )
     try:
         scene = _build_scene(family, n, params, common)
+    except NoAdmissibleSamples as exc:
+        raise SceneFileError(f"$.scene.sample_box: {exc}") from None
     except (ParageomError, np.linalg.LinAlgError) as exc:
         raise SceneFileError(f"$.scene: {exc}") from None
     return scene, suites, raw

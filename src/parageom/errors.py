@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the per-sample failure
+record of a batched analysis."""
+
+import numpy as np
 
 
 class ParageomError(Exception):
@@ -22,6 +25,10 @@ class GenerationError(ParageomError):
     """Random generation exhausted its redraw budget."""
 
 
+class NoAdmissibleSamples(GenerationError):
+    """No candidate in the chart box passed the sample screen."""
+
+
 class ChartLeak(ParageomError):
     """A chart point left the domain where the immersion formula is valid."""
 
@@ -36,3 +43,33 @@ class DegenerateMetric(ParageomError):
 
 class BasePointNotFound(ParageomError):
     """No admissible base point was found on the quadric after the search budget."""
+
+
+def no_failures(shape) -> np.ndarray:
+    """An empty failure record: one slot per sample of a batch of ``shape``,
+    ``()`` for a single point."""
+    return np.full(shape, None, dtype=object)
+
+
+def failed(faults: np.ndarray) -> np.ndarray:
+    """Where a failure record holds a failure."""
+    return np.array([f is not None for f in faults.flat], dtype=bool).reshape(faults.shape)
+
+
+def record_failures(faults: np.ndarray, bad, failure) -> np.ndarray:
+    """Keep the exception ``failure(k)`` as the failure of each sample ``k``
+    (a flat index) where ``bad`` holds and none is kept yet, and return
+    ``failed(faults)``.
+
+    A batched stage keeps each sample's failure in ``faults`` and goes on
+    with harmless values in its place, so one bad sample stops no other.  A
+    single point (``faults`` of shape ``()``) has nowhere to keep one, so its
+    failure is raised at once.
+    """
+    flat = faults.reshape(-1)
+    for k in np.flatnonzero(bad):
+        if flat[k] is None:
+            flat[k] = failure(k)
+            if faults.ndim == 0:
+                raise flat[k]
+    return failed(faults)

@@ -11,10 +11,18 @@ derivatives in jet arithmetic (no finite differences anywhere).  f and C are
 evaluated as order-3 jets; after the derivatives d_i f, d_j d_i f and d_i C
 everything is truncated to first-order jets: the frame matrix
 B = [e_1 .. e_m | C] is a matrix of value-plus-gradient jets and the
-decompositions are exact truncated-polynomial linear solves.  Sampling
-screens candidate chart points with order-1 jets of f and C, since the frame
-value B0 is all the screen tests: it builds no order-3 jet and no ``Frame``,
-and each kept point is evaluated at order 3 once, by its analysis.
+decompositions are exact truncated-polynomial linear solves.
+
+Everything from ``eval_immersion`` to ``derive_tensors`` takes one chart
+point ``(m,)`` or a stack ``(S, m)``, with the sample axis in front of every
+array, so a scene's analysis is computed once per scene, on the stack of its
+samples.  A sample that fails (outside the chart, an ill-conditioned frame)
+is kept in the ``faults`` record of the batch with the message a single
+point raises, and carries harmless values so that it stops no other sample.
+Sampling screens candidate chart points in blocks with order-1 jets of f and
+C, since the frame value B0 is all the screen tests: it builds no order-3
+jet and no ``Frame``, and each kept point is evaluated at order 3 once, by
+its scene's analysis.
 
 From those come the curvature tensor, the covariant derivative of h, the
 totally symmetric cubic form and the exterior derivative of tau, plus the
@@ -47,7 +55,11 @@ from .errors import (
     ChartLeak,
     DegenerateFrame,
     GenerationError,
+    NoAdmissibleSamples,
     ShapeError,
+    failed,
+    no_failures,
+    record_failures,
 )
 from .jets import MAX_ORDER, JetSpace, jet_space
 from .paracomplex import QuadricSpec, apply_J
@@ -92,6 +104,8 @@ class Polynomial:
         self.terms = clean
 
     def eval_jets(self, space: JetSpace, seeds: np.ndarray) -> np.ndarray:
+        """The polynomial as a jet, from the coordinate jets ``(..., num_vars,
+        ncoeff)`` of one chart point or of a stack of them."""
         max_pow = [0] * self.num_vars
         for alpha, _ in self.terms:
             for i, a in enumerate(alpha):
@@ -100,9 +114,9 @@ class Polynomial:
         for i in range(self.num_vars):
             p = [space.const(1.0)]
             for _ in range(max_pow[i]):
-                p.append(space.mul(p[-1], seeds[i]))
+                p.append(space.mul(p[-1], seeds[..., i, :]))
             powers.append(p)
-        out = np.zeros(space.ncoeff)
+        out = np.zeros(seeds.shape[:-2] + (space.ncoeff,))
         for alpha, c in self.terms:
             term = space.const(c)
             for i, a in enumerate(alpha):
@@ -372,107 +386,145 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
     """Jets of the immersion and the transversal at a chart point, of total
     degree <= ``order``.
 
-    Returns ``(f, C)`` as ``(ambient_dim, ncoeff)`` coefficient arrays.  The
-    coefficients of degree <= 1 do not depend on ``order``.
+    Returns ``(f, C)`` as ``(ambient_dim, ncoeff)`` coefficient arrays, or
+    ``(..., ambient_dim, ncoeff)`` for a ``(..., m)`` stack of points.  The
+    coefficients of degree <= 1 do not depend on ``order``.  A point outside
+    the radial chart raises ChartLeak; ``induced_data`` keeps such points of
+    a stack out beforehand.
     """
     u = np.asarray(u, dtype=float)
+    for fault in _chart_faults(scene, u).flat:
+        if fault is not None:
+            raise fault
     m = scene.chart_dim
-    if u.shape != (m,):
-        raise ShapeError(f"chart point shape {u.shape} != ({m},)")
     space = jet_space(m, order)
     seeds = space.seeds(u)
 
     if scene.family == "hyperbola":
-        t = seeds[0]
-        f = np.stack([space.cosh(t), space.sinh(t)])
+        t = seeds[..., 0, :]
+        f = np.stack([space.cosh(t), space.sinh(t)], axis=-2)
         return f, f.copy()
 
     if scene.family in ("quadric_radial", "perturbed_transversal"):
         spec: QuadricSpec = scene.params["quadric"]
         x0 = scene.params["base_point"]
         basis = scene.params["basis"]
-        y = space.const(x0)
-        y += np.einsum("ir,ic->rc", basis, seeds)
-        ay = np.einsum("rs,sc->rc", spec.A, y)
-        q = space.mul(y, ay).sum(axis=0)
-        if q[0] <= 0.0:
-            raise ChartLeak(f"quadric value {q[0]:.3g} <= 0 at chart point")
-        f = space.mul(y, space.inv(space.sqrt(q)))
+        y = space.const(x0) + np.einsum("ir,...ic->...rc", basis, seeds)
+        ay = np.einsum("rs,...sc->...rc", spec.A, y)
+        q = space.mul(y, ay).sum(axis=-2)
+        f = space.mul(y, space.inv(space.sqrt(q))[..., None, :])
         if scene.family == "quadric_radial":
             return f, f.copy()
         eps = scene.params["epsilon"]
         w = scene.params["direction"]
         aw = spec.A @ w
         ajw = spec.A @ apply_J(w)
-        s1 = np.einsum("r,rc->c", aw, f)
-        s2 = np.einsum("r,rc->c", ajw, f)
-        w_field = space.const(w) - space.mul(s1[None, :], f) - space.mul(
-            s2[None, :], apply_J(f)
+        s1 = np.einsum("r,...rc->...c", aw, f)
+        s2 = np.einsum("r,...rc->...c", ajw, f)
+        w_field = space.const(w) - space.mul(s1[..., None, :], f) - space.mul(
+            s2[..., None, :], apply_J(f, axis=-2)
         )
         return f, f + eps * w_field
 
     # explicit_graph
     graph: Polynomial = scene.params["graph"]
-    f = np.zeros((m + 1, space.ncoeff))
-    f[:m] = seeds
-    f[m] = graph.eval_jets(space, seeds)
-    c = np.stack([p.eval_jets(space, seeds) for p in scene.params["transversal"]])
+    f = np.zeros(u.shape[:-1] + (m + 1, space.ncoeff))
+    f[..., :m, :] = seeds
+    f[..., m, :] = graph.eval_jets(space, seeds)
+    c = np.stack([p.eval_jets(space, seeds) for p in scene.params["transversal"]], axis=-2)
     return f, c
 
 
+def _chart_faults(scene: ImmersionScene, u: np.ndarray) -> np.ndarray:
+    """The failure record of the chart points ``u`` (..., m): a ChartLeak for
+    each point outside the radial chart, where the chart quality is <= 0."""
+    if u.shape[-1:] != (scene.chart_dim,):
+        raise ShapeError(f"chart point shape {u.shape} != (..., {scene.chart_dim})")
+    q = _chart_quality(scene, u)
+    faults = no_failures(q.shape)
+    record_failures(
+        faults, q <= 0.0, lambda k: ChartLeak(f"quadric value {q.flat[k]:.3g} <= 0 at chart point")
+    )
+    return faults
+
+
 def _frame_value(f_jet: np.ndarray, C_jet: np.ndarray):
-    """B0 = [d_1 f .. d_m f | C] at the chart point, from jets of f and C of
-    any order, and its condition number.  Raises DegenerateFrame when B0 is
-    too ill-conditioned to decompose against; ``Frame`` and the sample screen
-    of ``draw_samples`` share this test."""
-    m = f_jet.shape[0] - 1
-    b0 = np.concatenate([f_jet[:, 1 : m + 1], C_jet[:, :1]], axis=1)
-    cond = np.linalg.cond(b0)
-    if not np.isfinite(cond) or cond > FRAME_COND_LIMIT:
-        raise DegenerateFrame(f"frame condition number {cond:.3g}")
-    return b0, float(cond)
+    """``(B0, cond, faults)``: B0 = [d_1 f .. d_m f | C] at the chart point(s),
+    from jets of f and C of any order, its condition number and a
+    DegenerateFrame for each sample whose B0 is not finite (cond nan) or too
+    ill-conditioned to decompose against.  Such a sample's B0 is replaced by
+    the identity before any linear algebra sees it.  ``Frame`` and the
+    sample screen of ``draw_samples`` share this test."""
+    m = f_jet.shape[-2] - 1
+    eye = np.eye(m + 1)
+    b0 = np.concatenate([f_jet[..., 1 : m + 1], C_jet[..., :1]], axis=-1)
+    finite = np.isfinite(b0).all(axis=(-2, -1))
+    cond = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], b0, eye)), np.nan)
+    faults = no_failures(cond.shape)
+    bad = record_failures(
+        faults,
+        ~(cond <= FRAME_COND_LIMIT),
+        lambda k: DegenerateFrame(f"frame condition number {cond.flat[k]:.3g}"),
+    )
+    return np.where(bad[..., None, None], eye, b0), cond, faults
 
 
 class Frame:
     """The frame B = [e_1 .. e_m | C] as first-order jets, and its decompositions.
 
-    Built from order-3 jets of f and C in ``space``.  ``tangent2`` keeps
-    e_i = d_i f as order-2 jets for the one further derivative the structure
-    equations take (d_j e_i); everything downstream lives in the order-1
-    space ``self.space``, where ``tangent_jets`` and ``C_jet`` are the
-    truncated e_i and C.  The inverse of B in that jet algebra is B0^{-1}
-    corrected by a Neumann series in the nilpotent part, which terminates
-    after one term at order 1, so decompositions carry first derivatives
-    exactly.
+    Built from order-3 jets of f and C in ``space``, at one chart point or at
+    a stack of them: every array keeps the leading sample axes of f and C.
+    ``tangent2`` keeps e_i = d_i f as order-2 jets for the one further
+    derivative the structure equations take (d_j e_i); everything downstream
+    lives in the order-1 space ``self.space``, where ``tangent_jets`` and
+    ``C_jet`` are the truncated e_i and C.  The inverse of B in that jet
+    algebra is B0^{-1} corrected by a Neumann series in the nilpotent part,
+    which terminates after one term at order 1, so decompositions carry
+    first derivatives exactly.
+
+    ``faults`` holds each sample's DegenerateFrame (None where the frame is
+    usable); such a sample goes on as the flat frame of the plane
+    x_{m+1} = 0 with C = e_{m+1} (B = I, no curvature), which keeps every
+    later step finite.  A single point raises it.
     """
 
     def __init__(self, space: JetSpace, f_jet: np.ndarray, C_jet: np.ndarray):
         m = space.num_vars
         dim = m + 1
-        if f_jet.shape != (dim, space.ncoeff) or C_jet.shape != (dim, space.ncoeff):
+        if f_jet.shape[-2:] != (dim, space.ncoeff) or C_jet.shape != f_jet.shape:
             raise ShapeError(
-                f"immersion/transversal jets must be ({dim}, {space.ncoeff})"
+                f"immersion/transversal jets must be (..., {dim}, {space.ncoeff})"
             )
         self.space = jet_space(m, order=1)
         self.m = m
         self.dim = dim
-        self.tangent2 = space.derivs(f_jet, 2)  # (dim, m, ncoeff of order 2)
+        self.b0, self.cond, self.faults = _frame_value(f_jet, C_jet)
+        flat = failed(self.faults)[..., None, None]
+        f_jet = np.where(flat, np.concatenate([space.seeds(np.zeros(m)), space.const([0.0])]), f_jet)
+        C_jet = np.where(flat, space.const(np.eye(dim)[m]), C_jet)
+        self.tangent2 = space.derivs(f_jet, 2)  # (..., dim, m, ncoeff of order 2)
+        self.dC_jets = space.derivs(C_jet, 1)  # d_i C: (..., dim, m, ncoeff of order 1)
         k = self.space.ncoeff
         self.tangent_jets = self.tangent2[..., :k]
-        self.C_jet = C_jet[:, :k]
-        self.b0, self.cond = _frame_value(f_jet, C_jet)
-        nilpotent = np.concatenate([self.tangent_jets, self.C_jet[:, None, :]], axis=1)
-        nilpotent[:, :, 0] = 0.0
-        self._neumann = np.linalg.solve(
-            self.b0, nilpotent.reshape(dim, -1)
-        ).reshape(nilpotent.shape)
+        self.C_jet = C_jet[..., :k]
+        nilpotent = np.concatenate([self.tangent_jets, self.C_jet[..., None, :]], axis=-2)
+        nilpotent[..., 0] = 0.0
+        self._neumann = self._solve(nilpotent)
+
+    def _solve(self, v: np.ndarray) -> np.ndarray:
+        """B0^{-1} v for jet vectors v of shape (..., dim, K, ncoeff)."""
+        lead = self.b0.shape[:-2]
+        return np.linalg.solve(self.b0, v.reshape(lead + (self.dim, -1))).reshape(v.shape)
 
     def decompose_jets(self, v: np.ndarray):
-        """Split a stack of first-order jet vectors (dim, ..., ncoeff) into
-        tangential coordinates (m, ..., ncoeff) and the transversal coefficient."""
-        x = np.linalg.solve(self.b0, v.reshape(self.dim, -1)).reshape(v.shape)
-        x = x - self.space.matvec(self._neumann, x)
-        return x[: self.m], x[self.m]
+        """Split first-order jet vectors ``(dim, ..., ncoeff)``, behind the
+        frame's sample axes, into tangential coordinates ``(m, ..., ncoeff)``
+        and the transversal coefficient ``(..., ncoeff)``."""
+        lead = self.b0.shape[:-2]
+        x = self._solve(v.reshape(lead + (self.dim, -1, v.shape[-1])))
+        x = (x - self.space.matvec(self._neumann, x)).reshape(v.shape)
+        at = (slice(None),) * len(lead)
+        return x[at + (slice(None, self.m),)], x[at + (self.m,)]
 
 
 # ----------------------------------------------------------------------
@@ -481,11 +533,14 @@ class Frame:
 
 @dataclass
 class InducedData:
-    """Pointwise connection/form/shape data with first chart derivatives.
+    """Connection/form/shape data with first chart derivatives, at one chart
+    point or at each point of a stack.
 
     Index conventions: ``Gamma[k, i, j]`` is the e_k coefficient of D_i e_j,
     ``S[k, j]`` the e_k coefficient of -D_j C, ``dX[l, ...]`` the derivative
-    of X along chart direction l.
+    of X along chart direction l; a stack puts its sample axis in front of
+    these.  ``faults`` holds each sample's ChartLeak or DegenerateFrame (None
+    where the sample is usable); such a sample carries harmless values.
     """
 
     n: int
@@ -499,11 +554,13 @@ class InducedData:
     dh: np.ndarray
     dS: np.ndarray
     dtau_raw: np.ndarray
+    faults: np.ndarray
 
 
 @dataclass
 class DerivedTensors:
-    """Curvature, covariant derivative of h, cubic form, d tau."""
+    """Curvature, covariant derivative of h, cubic form, d tau (behind any
+    sample axes of the ``InducedData`` they come from)."""
 
     R_curv: np.ndarray  # [l, i, j, k]
     nabla_h: np.ndarray  # [i, j, k]
@@ -512,8 +569,15 @@ class DerivedTensors:
 
 
 def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
+    """Gamma, h, S, tau and their first derivatives at a chart point ``(m,)``,
+    or at every point of a ``(S, m)`` stack in one pass.  A single point
+    raises its ChartLeak or DegenerateFrame; a stack keeps them in
+    ``faults``."""
     u = np.asarray(u, dtype=float)
-    f, c = eval_immersion(scene, u)
+    faults = _chart_faults(scene, u)
+    outside = failed(faults)
+    # A point outside the chart is evaluated at the chart centre instead.
+    f, c = eval_immersion(scene, np.where(outside[..., None], 0.0, u))
     space3 = jet_space(scene.chart_dim)
     frame = Frame(space3, f, c)
     space = frame.space
@@ -521,16 +585,17 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     # d_j e_i for i <= j, then d_j C, as first-order jets.
     iu, ju = np.triu_indices(m)
     npairs = len(iu)
-    d_tangent = space3.derivs(frame.tangent2, 1)  # [r, i, j, coeff]
-    rhs = np.concatenate([d_tangent[:, iu, ju], space3.derivs(c, 1)], axis=1)
+    d_tangent = space3.derivs(frame.tangent2, 1)  # [..., r, i, j, coeff]
+    rhs = np.concatenate([d_tangent[..., iu, ju, :], frame.dC_jets], axis=-2)
     tang, transv = frame.decompose_jets(rhs)
 
-    gamma_j = np.zeros((m, m, m, space.ncoeff))
-    h_j = np.zeros((m, m, space.ncoeff))
-    gamma_j[:, iu, ju] = gamma_j[:, ju, iu] = tang[:, :npairs]
-    h_j[iu, ju] = h_j[ju, iu] = transv[:npairs]
-    s_j = -tang[:, npairs:]
-    tau_j = transv[npairs:]
+    lead = u.shape[:-1]
+    gamma_j = np.zeros(lead + (m, m, m, space.ncoeff))
+    h_j = np.zeros(lead + (m, m, space.ncoeff))
+    gamma_j[..., iu, ju, :] = gamma_j[..., ju, iu, :] = tang[..., :npairs, :]
+    h_j[..., iu, ju, :] = h_j[..., ju, iu, :] = transv[..., :npairs, :]
+    s_j = -tang[..., npairs:, :]
+    tau_j = transv[..., npairs:, :]
 
     return InducedData(
         n=scene.n,
@@ -540,10 +605,11 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
         h=h_j[..., 0],
         S=s_j[..., 0],
         tau=tau_j[..., 0],
-        dGamma=np.moveaxis(space.grad(gamma_j), -1, 0),
-        dh=np.moveaxis(space.grad(h_j), -1, 0),
-        dS=np.moveaxis(space.grad(s_j), -1, 0),
-        dtau_raw=np.moveaxis(space.grad(tau_j), -1, 0),
+        dGamma=np.moveaxis(space.grad(gamma_j), -1, -4),
+        dh=np.moveaxis(space.grad(h_j), -1, -3),
+        dS=np.moveaxis(space.grad(s_j), -1, -3),
+        dtau_raw=np.moveaxis(space.grad(tau_j), -1, -2),
+        faults=np.where(outside, faults, frame.faults),
     )
 
 
@@ -556,20 +622,20 @@ def h_is_degenerate(h: np.ndarray) -> bool:
 
 
 def derive_tensors(ind: InducedData) -> DerivedTensors:
-    g, dg = ind.Gamma, ind.dGamma
+    g, dg, h = ind.Gamma, ind.dGamma, ind.h
     r_curv = (
-        dg.transpose(1, 0, 2, 3)
-        - dg.transpose(1, 2, 0, 3)
-        + np.einsum("lip,pjk->lijk", g, g)
-        - np.einsum("ljp,pik->lijk", g, g)
+        np.einsum("...iljk->...lijk", dg)
+        - np.einsum("...jlik->...lijk", dg)
+        + np.einsum("...lip,...pjk->...lijk", g, g)
+        - np.einsum("...ljp,...pik->...lijk", g, g)
     )
     nabla_h = (
         ind.dh
-        - np.einsum("pij,pk->ijk", g, ind.h)
-        - np.einsum("pik,jp->ijk", g, ind.h)
+        - np.einsum("...pij,...pk->...ijk", g, h)
+        - np.einsum("...pik,...jp->...ijk", g, h)
     )
-    q = nabla_h + ind.tau[:, None, None] * ind.h[None, :, :]
-    dtau = 0.5 * (ind.dtau_raw - ind.dtau_raw.T)
+    q = nabla_h + ind.tau[..., :, None, None] * h[..., None, :, :]
+    dtau = 0.5 * (ind.dtau_raw - np.swapaxes(ind.dtau_raw, -1, -2))
     return DerivedTensors(R_curv=r_curv, nabla_h=nabla_h, Q=q, dtau=dtau)
 
 
@@ -608,12 +674,16 @@ def residuals_from_data(ind: InducedData, der: DerivedTensors) -> dict:
 # sampling
 
 
-def _chart_quality(scene: ImmersionScene, u: np.ndarray) -> float:
+def _chart_quality(scene: ImmersionScene, u: np.ndarray) -> np.ndarray:
+    """y'Ay at each chart point of ``u`` (..., m) of a radial chart, 1.0 for
+    the other families.  Far out in a huge box it overflows, quietly, to a
+    non-finite value, which the sample screen rejects."""
     if scene.family in ("quadric_radial", "perturbed_transversal"):
         spec: QuadricSpec = scene.params["quadric"]
-        y = scene.params["base_point"] + scene.params["basis"].T @ u
-        return float(y @ spec.A @ y)
-    return 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = scene.params["base_point"] + u @ scene.params["basis"]
+            return np.einsum("...r,rs,...s->...", y, spec.A, y)
+    return np.ones(u.shape[:-1])
 
 
 def draw_samples(
@@ -623,30 +693,34 @@ def draw_samples(
     sample_box: float = DEFAULT_SAMPLE_BOX,
 ) -> list:
     """Seeded chart points in [-box, box]^m, rejecting points that leave the
-    chart (quadric value <= 0.1) or whose frame is too ill-conditioned.
+    chart (quadric value <= 0.1, or not finite) or whose frame value is not
+    finite or too ill-conditioned.
 
-    The screen evaluates f and C only to first order, which fixes the frame
-    value B0 exactly, and applies the condition test of ``Frame`` to it, so
-    it keeps the same points as building the full frame would."""
+    Candidates are screened in blocks of as many as are still missing: one
+    order-1 evaluation of f and C per block, which fixes the frame values B0
+    exactly, and one stacked condition test, the one ``Frame`` applies.  The
+    first ``num_samples`` that pass are kept in draw order, so the points
+    are those a one-by-one screen keeps, within the same candidate budget."""
     if num_samples < 1:
         raise ShapeError(f"num_samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng([seed, 2])
     m = scene.chart_dim
     samples = []
     budget = 50 * num_samples + 100
-    for _ in range(budget):
-        if len(samples) == num_samples:
-            break
-        u = rng.uniform(-sample_box, sample_box, size=m)
-        if _chart_quality(scene, u) <= CHART_Q_MIN:
+    while len(samples) < num_samples and budget > 0:
+        block = rng.uniform(-sample_box, sample_box, size=(min(budget, num_samples - len(samples)), m))
+        budget -= len(block)
+        q = _chart_quality(scene, block)
+        block = block[np.isfinite(q) & (q > CHART_Q_MIN)]
+        if not len(block):
             continue
-        try:
-            _frame_value(*eval_immersion(scene, u, order=1))
-        except (ChartLeak, DegenerateFrame):
-            continue
-        samples.append(u)
+        # A huge box overflows far out; the frame test rejects what it spoils.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, c = eval_immersion(scene, block, order=1)
+        _, _, faults = _frame_value(f, c)
+        samples += [u for u, fault in zip(block, faults) if fault is None]
     if not samples:
-        raise GenerationError("no admissible sample points found in the chart box")
+        raise NoAdmissibleSamples("no admissible sample points found in the chart box")
     return samples
 
 

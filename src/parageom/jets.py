@@ -20,8 +20,8 @@ Two layers live here:
   friendly API.
 * :class:`JetSpace` — the per-dimension, per-order coefficient tables plus
   vectorized kernels over arrays whose *last* axis is the coefficient axis.
-  The geometry modules use this layer directly so whole tensors of jets move
-  through single numpy calls.
+  The geometry modules use this layer directly so whole tensors of jets,
+  for all of a scene's samples at once, move through single numpy calls.
 
 Truncation caveat: differentiating a jet shifts coefficients down one order,
 so the result carries exact data only up to degree ``order - k`` after ``k``
@@ -118,13 +118,14 @@ class JetSpace:
         return out
 
     def seeds(self, point) -> np.ndarray:
-        """All coordinate jets at a chart point, stacked as ``(num_vars, ncoeff)``."""
+        """All coordinate jets at a chart point, stacked as ``(num_vars, ncoeff)``;
+        a ``(..., num_vars)`` stack of points gives ``(..., num_vars, ncoeff)``."""
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.num_vars,):
-            raise ShapeError(f"chart point shape {point.shape} != ({self.num_vars},)")
-        out = np.zeros((self.num_vars, self.ncoeff))
-        out[:, 0] = point
-        out[np.arange(self.num_vars), 1 + np.arange(self.num_vars)] = 1.0
+        if point.shape[-1:] != (self.num_vars,):
+            raise ShapeError(f"chart point shape {point.shape} != (..., {self.num_vars})")
+        out = np.zeros(point.shape + (self.ncoeff,))
+        out[..., 0] = point
+        out[..., np.arange(self.num_vars), 1 + np.arange(self.num_vars)] = 1.0
         return out
 
     # ------------------------------------------------------------------
@@ -134,8 +135,10 @@ class JetSpace:
         return (a[..., self._mul_left] * b[..., self._mul_right]) @ self._mul_scatter
 
     def matvec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Jet matrix (p, q, ncoeff) times jet stack (q, ..., ncoeff)."""
-        g = np.einsum("pqt,q...t->p...t", m[..., self._mul_left], v[..., self._mul_right])
+        """Jet matrix ``(..., p, q, ncoeff)`` times a stack of K jet vectors
+        ``(..., q, K, ncoeff)``, giving ``(..., p, K, ncoeff)``; the leading
+        axes (one per sample of a batch, say) pair up as in ``np.matmul``."""
+        g = np.einsum("...pqt,...qkt->...pkt", m[..., self._mul_left], v[..., self._mul_right])
         return g @ self._mul_scatter
 
     def compose(self, a: np.ndarray, c0, *c) -> np.ndarray:

@@ -26,17 +26,19 @@ DET_FLOOR = 1e-6
 _MAX_REDRAWS = 1000
 
 
-def apply_J(v: np.ndarray) -> np.ndarray:
+def apply_J(v: np.ndarray, axis: int = 0) -> np.ndarray:
     """Swap the two halves of an even-length vector (an involution).
 
-    Also works on stacks of jet coefficients: only the first axis is swapped.
+    Also works on stacks of jet coefficients: only the ambient axis ``axis``
+    (the first, unless the stack carries leading sample axes) is swapped.
     """
     v = np.asarray(v)
-    dim = v.shape[0]
+    dim = v.shape[axis]
     if dim % 2 != 0 or dim == 0:
         raise ShapeError(f"half-swap needs even positive length, got {dim}")
+    at = (slice(None),) * (axis % v.ndim)
     half = dim // 2
-    return np.concatenate([v[half:], v[:half]], axis=0)
+    return np.concatenate([v[at + (slice(half, None),)], v[at + (slice(None, half),)]], axis=axis)
 
 
 def j_matrix(dim: int) -> np.ndarray:

@@ -10,7 +10,10 @@ vanishes the triple satisfies the almost paracontact axioms
 phi^2 = Id - eta (x) xi, eta(xi) = 1, phi xi = 0, eta o phi = 0, and phi
 splits ker(eta) into +-1 eigenspaces of equal dimension.
 
-Against the second fundamental form h this module measures, per point:
+``induced_structure``, ``signature_of`` and ``metric_residual`` take one
+point or a stack with the sample axis in front, as ``induced_data`` does, so
+the structure is computed once per scene; the other residuals read one
+sample.  Against the second fundamental form h this module measures:
 
 * metric compatibility  h(phi X, phi Y) + h(X, Y) - eta(X) eta(Y),
 * the contact condition  d eta = alpha * h(., phi .),
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame, DegenerateMetric
+from .errors import DegenerateFrame, DegenerateMetric, record_failures
 from .hypersurface import InducedData, h_is_degenerate
 from .paracomplex import apply_J
 
@@ -44,11 +47,14 @@ _SIGNATURE_REL = 1e-10
 
 @dataclass
 class ParacontactData:
-    """Pointwise structure tensors and their first chart derivatives.
+    """Structure tensors and their first chart derivatives, at one chart
+    point or, behind a leading sample axis, at each point of a stack.
 
     ``phi[k, j]`` is the e_k coefficient of the tangential part of J e_j;
     ``D_basis`` holds 2n orthonormal coordinate vectors spanning ker(eta),
     differentiable in u (``dbasis[a, k, l]`` = d_l of field a, component k).
+    ``faults`` holds each sample's failure, those of the ``InducedData`` and
+    the ker(eta) pivot's DegenerateFrame (None where the sample is usable).
     """
 
     n: int
@@ -57,34 +63,36 @@ class ParacontactData:
     phi: np.ndarray
     d_eta: np.ndarray
     D_basis: np.ndarray
-    tangency: float
+    tangency: np.ndarray  # |transversal part of J C|, a scalar at one point
     dxi: np.ndarray
     deta: np.ndarray
     dphi: np.ndarray
     dbasis: np.ndarray
+    faults: np.ndarray
 
 
 def induced_structure(induced: InducedData) -> ParacontactData:
     """Build (phi, xi, eta) and the ker(eta) basis by decomposing J against
     the frame, everything carried as first-order jets so first derivatives
-    come along."""
+    come along.  A single point raises its failure; a stack keeps it."""
     frame = induced.frame
     space = frame.space
     m = frame.m
 
-    je = apply_J(frame.tangent_jets)
-    jc = apply_J(frame.C_jet)
-    rhs = np.concatenate([je, jc[:, None, :]], axis=1)
+    je = apply_J(frame.tangent_jets, axis=-3)
+    jc = apply_J(frame.C_jet, axis=-2)
+    rhs = np.concatenate([je, jc[..., None, :]], axis=-2)
     tang, transv = frame.decompose_jets(rhs)
 
-    phi_jets = tang[:, :m]  # [k, j, coeff]
-    eta_jets = transv[:m]
-    xi_jets = tang[:, m]
-    rho = transv[m]
+    phi_jets = tang[..., :m, :]  # [..., k, j, coeff]
+    eta_jets = transv[..., :m, :]
+    xi_jets = tang[..., m, :]
+    rho = transv[..., m, :]
 
-    deta = np.moveaxis(space.grad(eta_jets), -1, 0)  # [l, i]
-    d_eta = 0.5 * (deta - deta.T)
-    dbasis_jets = _kernel_basis_jets(space, induced.n, eta_jets, xi_jets)
+    deta = np.moveaxis(space.grad(eta_jets), -1, -2)  # [..., l, i]
+    d_eta = 0.5 * (deta - np.swapaxes(deta, -1, -2))
+    faults = induced.faults.copy()
+    dbasis_jets = _kernel_basis_jets(space, induced.n, eta_jets, xi_jets, faults)
 
     return ParacontactData(
         n=induced.n,
@@ -93,63 +101,74 @@ def induced_structure(induced: InducedData) -> ParacontactData:
         phi=phi_jets[..., 0],
         d_eta=d_eta,
         D_basis=dbasis_jets[..., 0],
-        tangency=float(abs(rho[0])),
-        dxi=space.grad(xi_jets).T,
+        tangency=np.abs(rho[..., 0]),
+        dxi=np.swapaxes(space.grad(xi_jets), -1, -2),
         deta=deta,
-        dphi=np.moveaxis(space.grad(phi_jets), -1, 0),
+        dphi=np.moveaxis(space.grad(phi_jets), -1, -3),
         dbasis=space.grad(dbasis_jets),
+        faults=faults,
     )
 
 
-def _kernel_basis_jets(space, n, eta_jets, xi_jets):
-    """2n orthonormal jet fields spanning ker(eta).
+def _kernel_basis_jets(space, n, eta_jets, xi_jets, faults):
+    """2n orthonormal jet fields spanning ker(eta), per sample.
 
     Starts from the projections Z_i = e_i - eta_i xi (smooth in u), then runs
     modified Gram-Schmidt in jet arithmetic with pivots chosen by the value
     norm at the point, so the selected combination is locally constant and
-    the resulting fields stay jet-differentiable.
+    the resulting fields stay jet-differentiable.  Each sample picks its own
+    pivot; one whose best candidate falls below the pivot floor gets a
+    DegenerateFrame in ``faults`` and a unit vector in its place.
     """
     m = space.num_vars
     want = 2 * n
-    cand = np.zeros((m, m, space.ncoeff))
-    cand[np.arange(m), np.arange(m), 0] = 1.0
-    cand -= space.mul(eta_jets[:, None, :], xi_jets[None, :, :])
+    lead = eta_jets.shape[:-2]
+    eta_jets = eta_jets.reshape(-1, m, space.ncoeff)
+    xi_jets = xi_jets.reshape(-1, m, space.ncoeff)
+    samples = np.arange(len(eta_jets))
+    cand = np.zeros((len(samples), m, m, space.ncoeff))
+    cand[:, np.arange(m), np.arange(m), 0] = 1.0
+    cand -= space.mul(eta_jets[:, :, None, :], xi_jets[:, None, :, :])
 
-    chosen = np.zeros((want, m, space.ncoeff))
-    remaining = list(range(m))
+    chosen = np.zeros((len(samples), want, m, space.ncoeff))
+    used = np.zeros((len(samples), m), dtype=bool)
+    unit = space.const(np.eye(m))
     for step in range(want):
-        norms = [float(np.linalg.norm(cand[r][:, 0])) for r in remaining]
-        best = int(np.argmax(norms))
-        if norms[best] < _DBASIS_PIVOT:
-            raise DegenerateFrame(
-                "cannot span ker(eta): residual candidates below pivot floor"
-            )
-        r = remaining.pop(best)
-        v = cand[r]
-        norm_jet = space.sqrt(space.mul(v, v).sum(axis=0))
-        v = space.div(v, norm_jet[None, :])
-        chosen[step] = v
-        rest = cand[remaining]
-        coef = space.mul(rest, v).sum(axis=1)
-        cand[remaining] = rest - space.mul(coef[:, None, :], v)
-    return chosen
+        norms = np.where(used, -np.inf, np.linalg.norm(cand[..., 0], axis=-1))
+        best = np.argmax(norms, axis=-1)
+        low = record_failures(
+            faults,
+            (norms[samples, best] < _DBASIS_PIVOT).reshape(lead),
+            lambda k: DegenerateFrame("cannot span ker(eta): residual candidates below pivot floor"),
+        ).reshape(-1)
+        used[samples, best] = True
+        v = np.where(low[:, None, None], unit[best], cand[samples, best])
+        norm_jet = space.sqrt(space.mul(v, v).sum(axis=-2))
+        v = space.div(v, norm_jet[:, None, :])
+        chosen[:, step] = v
+        # Used candidates are projected too, but never read again.
+        coef = space.mul(cand, v[:, None]).sum(axis=-2)
+        cand = cand - space.mul(coef[..., None, :], v[:, None])
+    return chosen.reshape(lead + chosen.shape[1:])
 
 
 def signature_of(h: np.ndarray):
     """Inertia (positives, negatives) of a symmetric matrix by eigenvalue sign
     count; eigenvalues within ``_SIGNATURE_REL * max|eig|`` of zero count as
-    neither."""
-    vals = np.linalg.eigvalsh(0.5 * (h + h.T))
-    scale = float(np.abs(vals).max(initial=0.0))
-    if scale == 0.0:
-        return (0, 0)
-    thr = _SIGNATURE_REL * scale
-    return (int(np.sum(vals > thr)), int(np.sum(vals < -thr)))
+    neither.  A ``(..., m, m)`` stack gives a ``(..., 2)`` integer array."""
+    vals = np.linalg.eigvalsh(0.5 * (h + np.swapaxes(h, -1, -2)))
+    thr = _SIGNATURE_REL * np.abs(vals).max(axis=-1, initial=0.0)[..., None]
+    counts = np.stack([np.sum(vals > thr, axis=-1), np.sum(vals < -thr, axis=-1)], axis=-1)
+    return tuple(int(k) for k in counts) if h.ndim == 2 else counts
 
 
 def metric_residual(pd: ParacontactData, h: np.ndarray) -> np.ndarray:
     """Defect of h(phi X, phi Y) + h(X, Y) - eta(X) eta(Y) over frame pairs."""
-    return np.einsum("ki,lj,kl->ij", pd.phi, pd.phi, h) + h - np.outer(pd.eta, pd.eta)
+    return (
+        np.einsum("...ki,...lj,...kl->...ij", pd.phi, pd.phi, h)
+        + h
+        - pd.eta[..., :, None] * pd.eta[..., None, :]
+    )
 
 
 def axiom_residuals(pd: ParacontactData) -> dict:

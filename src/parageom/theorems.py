@@ -31,7 +31,9 @@ evaluated at every sample of a scene:
                         select, and ``verify_quadric_converse`` builds its scene.
 
 Every battery runs through ``run_suite``, over the per-sample analyses that
-``analyze_scene`` computes once.  A battery body returns only
+``analyze_scene`` computes once per scene: one batched ``analyze_point`` on
+the stack of the scene's samples, handed to the batteries as per-sample
+views, and a failed sample as its message.  A battery body returns only
 ``{identity: residual}``, each residual a float or a raw ndarray of any shape.
 ``_score`` is the only place that reduces a residual or compares it with a
 tolerance, for the batteries and the hypothesis gates alike: an identity reads
@@ -51,9 +53,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartLeak, DegenerateFrame, DegenerateJet, DegenerateMetric
+from .errors import DegenerateMetric
 from .hypersurface import (
     DerivedTensors,
+    Frame,
     ImmersionScene,
     InducedData,
     derive_tensors,
@@ -109,7 +112,13 @@ CONVERSE_TOLERANCES = {
 
 @dataclass
 class PointAnalysis:
-    """Everything the batteries consume at one sample, computed once."""
+    """Everything the batteries consume at one sample, computed once.
+
+    ``analyze_point`` on a stack of samples gives one for the whole stack,
+    every array with the sample axis in front and ``signature`` an
+    ``(S, 2)`` array; the batteries read the per-sample views of
+    ``analyze_scene``.
+    """
 
     u: np.ndarray
     ind: InducedData
@@ -133,6 +142,9 @@ class PointAnalysis:
 
 
 def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
+    """Everything the batteries read at a chart point ``(m,)``, which raises
+    its ChartLeak or DegenerateFrame, or at every point of a ``(S, m)`` stack
+    in one pass, which keeps them in ``pd.faults``."""
     ind = induced_data(scene, u)
     der = derive_tensors(ind)
     pd = induced_structure(ind)
@@ -147,14 +159,41 @@ def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
 
 
 def analyze_scene(scene: ImmersionScene):
-    """Analyze every sample; returns a list of PointAnalysis or error strings."""
+    """Analyze all samples of a scene in one batched pass; returns, per
+    sample, its ``PointAnalysis`` (views into the batch) or the failure that
+    left it unusable, as ``"ChartLeak: ..."`` etc."""
+    if not scene.samples:
+        return []
+    batch = analyze_point(scene, np.stack(scene.samples))
     out = []
-    for u in scene.samples:
-        try:
-            out.append(analyze_point(scene, u))
-        except (ChartLeak, DegenerateFrame, DegenerateJet, DegenerateMetric) as exc:
-            out.append(f"{type(exc).__name__}: {exc}")
+    for i, fault in enumerate(batch.pd.faults):
+        if fault is not None:
+            out.append(f"{type(fault).__name__}: {fault}")
+            continue
+        out.append(
+            PointAnalysis(
+                u=batch.u[i],
+                ind=_sample_view(batch.ind, i),
+                der=_sample_view(batch.der, i),
+                pd=_sample_view(batch.pd, i),
+                metric=batch.metric[i],
+                signature=tuple(batch.signature[i].tolist()),
+            )
+        )
     return out
+
+
+def _sample_view(data, i: int):
+    """Sample ``i`` of a batched analysis record (and of its frame): every
+    array indexed at ``i``, every other attribute shared."""
+    view = object.__new__(type(data))
+    for key, value in vars(data).items():
+        if isinstance(value, np.ndarray):
+            value = value[i]
+        elif isinstance(value, Frame):
+            value = _sample_view(value, i)
+        vars(view)[key] = value
+    return view
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,19 @@ def test_malformed_field_exits_2_with_field_path(tmp_path, capsys, family, keys,
     target[keys[-1]] = value
     assert main(["verify", write_scene(tmp_path, data)]) == EXIT_INPUT
     assert f"error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", [1e200, 8e307])
+def test_huge_sample_box_exits_2_naming_the_box(tmp_path, capsys, box):
+    # Far out in the box the chart quality y'Ay overflows: the sample screen
+    # rejects every candidate before any np.linalg call, and warns nothing.
+    data = quadric_scene_dict(1, 0, num_samples=4)
+    data["scene"]["sample_box"] = box
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", write_scene(tmp_path, data)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: $.scene.sample_box: no admissible sample points found in the chart box\n"
 
 
 def test_malformed_bases_are_valid(tmp_path):
