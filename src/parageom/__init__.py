@@ -57,7 +57,6 @@ from .paracomplex import (
     anticommutator_residual,
     apply_J,
     j_matrix,
-    quadric_residual,
     random_quadric_spec,
 )
 from .paracontact import (

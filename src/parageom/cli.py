@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -252,7 +253,7 @@ def run_verification(scene: ImmersionScene, suites, diagnostic=False, timing=Tru
     """Run the engine self-test (the ENGINE battery) and the selected suites;
     returns (report dict, exit code)."""
     analyses = analyze_scene(scene)
-    total = len(analyses)
+    total = len(scene.samples)
     engine_report = run_suite(scene, "ENGINE", analyses=analyses)
     engine_suite = engine_report.to_dict()
     engine = {k: _identity_max(engine_suite, k, math.inf) for k in _ENGINE_IDENTITIES}
@@ -426,7 +427,9 @@ def cmd_sweep(path, values=()) -> int:
 # argument parsing
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept."""
     parser = argparse.ArgumentParser(
         prog="parageom",
         description="Verify induced almost paracontact structures on affine "
@@ -459,11 +462,11 @@ def _parse_args(argv):
         "--values", required=True,
         help="comma-separated parameter values, e.g. 0.1,0.01,0.001",
     )
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify(
             args.scene,

@@ -13,7 +13,7 @@ everything is truncated to first-order jets: the frame matrix
 B = [e_1 .. e_m | C] is a matrix of value-plus-gradient jets and the
 decompositions are exact truncated-polynomial linear solves.
 
-Everything from ``eval_immersion`` to ``derive_tensors`` takes one chart
+Everything from ``eval_immersion`` to ``residuals_from_data`` takes one chart
 point ``(m,)`` or a stack ``(S, m)``, with the sample axis in front of every
 array, so a scene's analysis is computed once per scene, on the stack of its
 samples.  A sample that fails (outside the chart, an ill-conditioned frame)
@@ -613,12 +613,14 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     )
 
 
-def h_is_degenerate(h: np.ndarray) -> bool:
+def h_is_degenerate(h: np.ndarray):
     """Whether h is degenerate: |det h| below ``H_DET_FLOOR`` relative to
-    max|h|^m.  The package's one such test; everything that needs h^{-1}
-    raises DegenerateMetric on it."""
-    scale = float(np.max(np.abs(h)))
-    return scale == 0.0 or abs(float(np.linalg.det(h / scale))) < H_DET_FLOOR
+    max|h|^m (a bool array over a stack).  The package's one such test;
+    everything that needs h^{-1} records DegenerateMetric on it."""
+    scale = np.max(np.abs(h), axis=(-2, -1))
+    unit = np.where(scale == 0.0, 1.0, scale)[..., None, None]
+    bad = (scale == 0.0) | (np.abs(np.linalg.det(h / unit)) < H_DET_FLOOR)
+    return bool(bad) if h.ndim == 2 else bad
 
 
 def derive_tensors(ind: InducedData) -> DerivedTensors:
@@ -641,7 +643,7 @@ def derive_tensors(ind: InducedData) -> DerivedTensors:
 
 def fundamental_residuals(scene: ImmersionScene, u: np.ndarray) -> dict:
     """Residual tensors of the Gauss, Codazzi (h and S) and Ricci equations
-    at one chart point, as ``residuals_from_data`` returns them.
+    at a chart point or a stack, as ``residuals_from_data`` returns them.
 
     These hold for any transversal field, so they are the master self-test of
     the differentiation and decomposition machinery.
@@ -655,18 +657,18 @@ def residuals_from_data(ind: InducedData, der: DerivedTensors) -> dict:
     each structure equation."""
     h, s, g = ind.h, ind.S, ind.Gamma
     gauss = der.R_curv - (
-        np.einsum("jk,li->lijk", h, s) - np.einsum("ik,lj->lijk", h, s)
+        np.einsum("...jk,...li->...lijk", h, s) - np.einsum("...ik,...lj->...lijk", h, s)
     )
-    codazzi_h = der.Q - der.Q.transpose(1, 0, 2)
+    codazzi_h = der.Q - np.swapaxes(der.Q, -3, -2)
     nabla_s = (
         ind.dS
-        + np.einsum("lip,pj->ilj", g, s)
-        - np.einsum("pij,lp->ilj", g, s)
+        + np.einsum("...lip,...pj->...ilj", g, s)
+        - np.einsum("...pij,...lp->...ilj", g, s)
     )
-    t = nabla_s - ind.tau[:, None, None] * s[None, :, :]
-    codazzi_s = t - t.transpose(2, 1, 0)
+    t = nabla_s - ind.tau[..., :, None, None] * s[..., None, :, :]
+    codazzi_s = t - np.einsum("...ilj->...jli", t)
     hs = h @ s
-    ricci = hs - hs.T - 2.0 * der.dtau
+    ricci = hs - np.swapaxes(hs, -1, -2) - 2.0 * der.dtau
     return {"gauss": gauss, "codazzi_h": codazzi_h, "codazzi_s": codazzi_s, "ricci": ricci}
 
 

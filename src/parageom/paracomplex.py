@@ -52,13 +52,14 @@ def j_matrix(dim: int) -> np.ndarray:
     return out
 
 
-def anticommutator_residual(a: np.ndarray) -> float:
-    """Max-norm of J A + A J; zero exactly for block matrices [[P,R],[-R,-P]]."""
+def anticommutator_residual(a: np.ndarray) -> np.ndarray:
+    """J A + A J, the raw residual matrix; zero exactly for block matrices
+    [[P,R],[-R,-P]]."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     j = j_matrix(a.shape[0])
-    return float(np.max(np.abs(j @ a + a @ j)))
+    return j @ a + a @ j
 
 
 @dataclass
@@ -133,12 +134,3 @@ def draw_quadric_spec(n: int, rng: np.random.Generator) -> QuadricSpec:
         f"no quadric with |det A| > {DET_FLOOR} after {_MAX_REDRAWS} draws"
     )
 
-
-def quadric_residual(spec: QuadricSpec, x: np.ndarray) -> float:
-    """x' A x - 1; zero iff x lies on the quadric."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.ambient_dim,):
-        raise ShapeError(
-            f"point shape {x.shape} does not match ambient dim {spec.ambient_dim}"
-        )
-    return float(x @ spec.A @ x - 1.0)

@@ -10,10 +10,9 @@ vanishes the triple satisfies the almost paracontact axioms
 phi^2 = Id - eta (x) xi, eta(xi) = 1, phi xi = 0, eta o phi = 0, and phi
 splits ker(eta) into +-1 eigenspaces of equal dimension.
 
-``induced_structure``, ``signature_of`` and ``metric_residual`` take one
-point or a stack with the sample axis in front, as ``induced_data`` does, so
-the structure is computed once per scene; the other residuals read one
-sample.  Against the second fundamental form h this module measures:
+Every function here takes one point or a stack with the sample axis in
+front, as ``induced_data`` does.  Against the second fundamental form h this
+module measures:
 
 * metric compatibility  h(phi X, phi Y) + h(X, Y) - eta(X) eta(Y),
 * the contact condition  d eta = alpha * h(., phi .),
@@ -23,6 +22,8 @@ sample.  Against the second fundamental form h this module measures:
 
 Each residual function returns the raw residual tensor, never its norm:
 ``theorems._score`` alone reduces residuals and compares them with tolerances.
+Where one needs h^{-1}, a degenerate h raises DegenerateMetric at a single
+point; a stack records it in ``pd.faults`` and uses the identity instead.
 
 All exterior derivatives use the convention
 d w(X, Y) = (X(w(Y)) - Y(w(X)) - w([X, Y])) / 2.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame, DegenerateMetric, record_failures
+from .errors import DegenerateFrame, DegenerateMetric, no_failures, record_failures
 from .hypersurface import InducedData, h_is_degenerate
 from .paracomplex import apply_J
 
@@ -174,31 +175,38 @@ def metric_residual(pd: ParacontactData, h: np.ndarray) -> np.ndarray:
 def axiom_residuals(pd: ParacontactData) -> dict:
     """Residuals of the almost paracontact axioms; all construction-level,
     independent of any metric condition.  ``eigen_split`` is the distance of
-    each eigenvalue of phi on ker(eta) to +-1 (0.0 at n = 0)."""
-    m = pd.eta.shape[0]
+    each eigenvalue of phi on ker(eta) to +-1 (0.0 at n = 0), and
+    ``eigen_counts_ok`` whether n of them are positive."""
+    m = pd.eta.shape[-1]
     out = {
-        "phi_square": pd.phi @ pd.phi - np.eye(m) + np.outer(pd.xi, pd.eta),
-        "eta_xi": pd.eta @ pd.xi - 1.0,
-        "phi_xi": pd.phi @ pd.xi,
-        "eta_phi": pd.eta @ pd.phi,
+        "phi_square": pd.phi @ pd.phi - np.eye(m) + pd.xi[..., :, None] * pd.eta[..., None, :],
+        "eta_xi": np.einsum("...i,...i->...", pd.eta, pd.xi) - 1.0,
+        "phi_xi": np.einsum("...ij,...j->...i", pd.phi, pd.xi),
+        "eta_phi": np.einsum("...i,...ij->...j", pd.eta, pd.phi),
     }
     if pd.n == 0:
-        out["eigen_split"] = 0.0
-        out["eigen_counts_ok"] = True
+        out["eigen_split"] = np.zeros(pd.eta.shape[:-1])
+        out["eigen_counts_ok"] = np.ones(pd.eta.shape[:-1], dtype=bool)
         return out
-    action = np.einsum("bk,kl,al->ba", pd.D_basis, pd.phi, pd.D_basis)
+    action = np.einsum("...bk,...kl,...al->...ba", pd.D_basis, pd.phi, pd.D_basis)
     vals = np.linalg.eigvals(action)
     out["eigen_split"] = np.minimum(np.abs(vals - 1), np.abs(vals + 1))
-    out["eigen_counts_ok"] = bool(int(np.sum(vals.real > 0)) == pd.n)
+    out["eigen_counts_ok"] = np.sum(vals.real > 0, axis=-1) == pd.n
     return out
 
 
-def _abs_h_norm_matrix(h: np.ndarray) -> np.ndarray:
-    """|h| as a positive definite matrix (eigendecomposition with absolute
-    eigenvalues); the norm used for vector-valued residuals."""
-    _require_nondegenerate(h)
-    vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
-    return (vecs * np.abs(vals)) @ vecs.T
+def _invertible(h: np.ndarray, faults: np.ndarray) -> np.ndarray:
+    """h, with the identity for each sample already failed in ``faults`` or
+    whose h ``h_is_degenerate`` (the one degeneracy test, shared with
+    ``induced_data``), which gets DegenerateMetric there; a point raises it."""
+    m = h.shape[-1]
+    flat = h.reshape(-1, m, m)
+    bad = record_failures(
+        faults,
+        h_is_degenerate(h),
+        lambda k: DegenerateMetric(f"h determinant {np.linalg.det(flat[k]):.3g} below floor"),
+    )
+    return np.where(bad[..., None, None], np.eye(m), h)
 
 
 def normality_residuals(pd: ParacontactData, induced: InducedData):
@@ -206,24 +214,29 @@ def normality_residuals(pd: ParacontactData, induced: InducedData):
 
     The first is [phi, phi] - 2 d eta (x) xi in coordinates; the second is
     the |h|-norm of S phi Z - phi S Z + tau(Z) xi for each Z of the ker(eta)
-    basis (0.0 at n = 0), which is the authoritative check.
+    basis (0.0 at n = 0, where it needs no h), which is the authoritative
+    check.
     """
     phi, dphi = pd.phi, pd.dphi
     nij = (
-        np.einsum("li,lkj->kij", phi, dphi)
-        - np.einsum("lj,lki->kij", phi, dphi)
-        - np.einsum("kl,ilj->kij", phi, dphi)
-        + np.einsum("kl,jli->kij", phi, dphi)
+        np.einsum("...li,...lkj->...kij", phi, dphi)
+        - np.einsum("...lj,...lki->...kij", phi, dphi)
+        - np.einsum("...kl,...ilj->...kij", phi, dphi)
+        + np.einsum("...kl,...jli->...kij", phi, dphi)
     )
-    nijenhuis = nij - 2.0 * np.einsum("ij,k->kij", pd.d_eta, pd.xi)
+    nijenhuis = nij - 2.0 * np.einsum("...ij,...k->...kij", pd.d_eta, pd.xi)
 
     if pd.n == 0:
-        return nijenhuis, 0.0
-    habs = _abs_h_norm_matrix(induced.h)
-    s, z = induced.S, pd.D_basis
+        return nijenhuis, np.zeros(pd.eta.shape[:-1])
+    # |h| as a positive definite matrix: eigenvectors, absolute eigenvalues.
+    h = _invertible(induced.h, pd.faults)
+    vals, vecs = np.linalg.eigh(0.5 * (h + np.swapaxes(h, -1, -2)))
+    habs = (vecs * np.abs(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    s_t, phi_t, z = np.swapaxes(induced.S, -1, -2), np.swapaxes(phi, -1, -2), pd.D_basis
     # Rows S phi Z_a - phi S Z_a + tau(Z_a) xi.
-    v = (z @ pd.phi.T) @ s.T - (z @ s.T) @ pd.phi.T + np.outer(z @ induced.tau, pd.xi)
-    return nijenhuis, np.sqrt(np.einsum("ak,ak->a", v @ habs, v))
+    tau_z = np.einsum("...ak,...k->...a", z, induced.tau)
+    v = (z @ phi_t) @ s_t - (z @ s_t) @ phi_t + tau_z[..., :, None] * pd.xi[..., None, :]
+    return nijenhuis, np.sqrt(np.einsum("...ak,...ak->...a", v @ habs, v))
 
 
 def contact_residual(pd: ParacontactData, h: np.ndarray, alpha: float) -> np.ndarray:
@@ -231,37 +244,29 @@ def contact_residual(pd: ParacontactData, h: np.ndarray, alpha: float) -> np.nda
     return pd.d_eta - alpha * (h @ pd.phi)
 
 
-def _require_nondegenerate(h: np.ndarray):
-    """Raise DegenerateMetric where ``h_is_degenerate`` (the one degeneracy
-    test, shared with ``induced_data``) says h has no usable inverse."""
-    if h_is_degenerate(h):
-        raise DegenerateMetric(f"h determinant {np.linalg.det(h):.3g} below floor")
-
-
 def levi_civita(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """Christoffel symbols of the (pseudo-)metric h from the Koszul formula.
 
     ``dh[l, i, j]`` is d_l h_{ij}; returns ``G[k, i, j]``, symmetric in (i, j).
     """
-    _require_nondegenerate(h)
-    h_inv = np.linalg.inv(h)
-    t = dh + dh.transpose(1, 0, 2) - dh.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", h_inv, t)
+    h_inv = np.linalg.inv(_invertible(h, no_failures(h.shape[:-2])))
+    t = dh + np.einsum("...lij->...ilj", dh) - np.einsum("...lij->...ijl", dh)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", h_inv, t)
 
 
 def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -> np.ndarray:
     """Defect of (nabla-hat_X phi)(Y) = alpha(-h(X, Y) xi + eta(Y) X) over
     frame pairs, with nabla-hat the Levi-Civita connection of h."""
-    g = levi_civita(induced.h, induced.dh)
+    g = levi_civita(_invertible(induced.h, pd.faults), induced.dh)
     phi = pd.phi
     nab_phi = (
         pd.dphi
-        + np.einsum("kil,lj->ikj", g, phi)
-        - np.einsum("lij,kl->ikj", g, phi)
+        + np.einsum("...kil,...lj->...ikj", g, phi)
+        - np.einsum("...lij,...kl->...ikj", g, phi)
     )
-    m = phi.shape[0]
+    m = phi.shape[-1]
     rhs = alpha * (
-        -np.einsum("ij,k->ikj", induced.h, pd.xi)
-        + np.einsum("j,ki->ikj", pd.eta, np.eye(m))
+        -np.einsum("...ij,...k->...ikj", induced.h, pd.xi)
+        + np.einsum("...j,ki->...ikj", pd.eta, np.eye(m))
     )
     return nab_phi - rhs

@@ -30,13 +30,12 @@ evaluated at every sample of a scene:
                         is not one of the ``SCENE_SUITES`` a scene file may
                         select, and ``verify_quadric_converse`` builds its scene.
 
-Every battery runs through ``run_suite``, over the per-sample analyses that
-``analyze_scene`` computes once per scene: one batched ``analyze_point`` on
-the stack of the scene's samples, handed to the batteries as per-sample
-views, and a failed sample as its message.  A battery body returns only
-``{identity: residual}``, each residual a float or a raw ndarray of any shape.
-``_score`` is the only place that reduces a residual or compares it with a
-tolerance, for the batteries and the hypothesis gates alike: an identity reads
+Every battery runs through ``run_suite``, which calls its body once, on the
+batch ``analyze_scene`` computes once per scene (``analyze_point`` on the
+stack of its samples).  A body returns only ``{identity: residual}``, each a
+raw ndarray with the sample axis in front.  ``_score`` is the only place that
+reduces a residual or compares it with a tolerance, for the batteries and the
+hypothesis gates alike, one sample's slice at a time: an identity reads
 max |residual| and passes when that is <= its tolerance, so a NaN fails.  An
 identity quantified over ker(eta) has an empty residual at n = 0, where it is
 reported vacuous instead of counted.  Theorem hypotheses are enforced as
@@ -47,16 +46,15 @@ are reported per sample and never silently dropped.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateMetric
+from .errors import failed, no_failures, record_failures
 from .hypersurface import (
     DerivedTensors,
-    Frame,
     ImmersionScene,
     InducedData,
     derive_tensors,
@@ -112,33 +110,32 @@ CONVERSE_TOLERANCES = {
 
 @dataclass
 class PointAnalysis:
-    """Everything the batteries consume at one sample, computed once.
-
-    ``analyze_point`` on a stack of samples gives one for the whole stack,
-    every array with the sample axis in front and ``signature`` an
-    ``(S, 2)`` array; the batteries read the per-sample views of
-    ``analyze_scene``.
-    """
+    """Everything the batteries consume, computed once: at one chart point
+    or, with the sample axis in front of every array and ``signature`` an
+    ``(S, 2)`` array, at each point of a stack.  ``pd.faults`` is its
+    failure record."""
 
     u: np.ndarray
     ind: InducedData
     der: DerivedTensors
     pd: ParacontactData
     metric: np.ndarray
-    signature: tuple
+    signature: tuple | np.ndarray
+    # Shared by shallow copies; ``dataclasses.replace`` starts a new one.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def normality(self) -> tuple:
-        """(Nijenhuis, operational) normality defects, computed once and
-        shared by every battery that reads them.  Lazy because it raises
-        DegenerateMetric on a degenerate h, which must skip only those
-        batteries, not the whole sample."""
-        return normality_residuals(self.pd, self.ind)
-
-    @cached_property
-    def gate_residuals(self) -> dict:
-        """``j_tangency`` and ``metric`` reduced once, for every gate."""
-        return _score({"j_tangency": self.pd.tangency, "metric": self.metric}, math.inf)[0]
+        """(Nijenhuis, operational) normality defects, computed once per
+        analysis for every battery that reads them.  Lazy because they need
+        h^{-1} at n >= 1: each reader's ``pd.faults`` gets the DegenerateMetric
+        failures they met, which skip only the batteries that read them."""
+        if "normality" not in self._cache:
+            met = replace(self.pd, faults=no_failures(self.pd.faults.shape))
+            self._cache["normality"] = normality_residuals(met, self.ind), met.faults
+        values, met = self._cache["normality"]
+        record_failures(self.pd.faults, failed(met), lambda k: met.flat[k])
+        return values
 
 
 def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
@@ -158,42 +155,10 @@ def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
     )
 
 
-def analyze_scene(scene: ImmersionScene):
-    """Analyze all samples of a scene in one batched pass; returns, per
-    sample, its ``PointAnalysis`` (views into the batch) or the failure that
-    left it unusable, as ``"ChartLeak: ..."`` etc."""
-    if not scene.samples:
-        return []
-    batch = analyze_point(scene, np.stack(scene.samples))
-    out = []
-    for i, fault in enumerate(batch.pd.faults):
-        if fault is not None:
-            out.append(f"{type(fault).__name__}: {fault}")
-            continue
-        out.append(
-            PointAnalysis(
-                u=batch.u[i],
-                ind=_sample_view(batch.ind, i),
-                der=_sample_view(batch.der, i),
-                pd=_sample_view(batch.pd, i),
-                metric=batch.metric[i],
-                signature=tuple(batch.signature[i].tolist()),
-            )
-        )
-    return out
-
-
-def _sample_view(data, i: int):
-    """Sample ``i`` of a batched analysis record (and of its frame): every
-    array indexed at ``i``, every other attribute shared."""
-    view = object.__new__(type(data))
-    for key, value in vars(data).items():
-        if isinstance(value, np.ndarray):
-            value = value[i]
-        elif isinstance(value, Frame):
-            value = _sample_view(value, i)
-        vars(view)[key] = value
-    return view
+def analyze_scene(scene: ImmersionScene) -> PointAnalysis | None:
+    """All samples of a scene analysed in one batched pass, ``analyze_point``
+    on their stack; None for a scene without samples."""
+    return analyze_point(scene, np.stack(scene.samples)) if scene.samples else None
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +258,18 @@ def _score(residuals: dict, tol) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# battery bodies (PointAnalysis -> {identity: residual})
+# battery bodies (PointAnalysis -> {identity: residual}, on a point or a stack)
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix ``(..., i, j)`` times vector ``(..., j)``, behind the same
+    sample axes."""
+    return np.einsum("...ij,...j->...i", a, v)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return np.swapaxes(a, -1, -2)
 
 
 def _engine_identities(pa: PointAnalysis) -> dict:
@@ -307,35 +283,35 @@ def _tw_wzory_identities(pa: PointAnalysis) -> dict:
     deta, dphi, dxi = pd.deta, pd.dphi, pd.dxi
 
     # eta(nabla_X Y) = h(X, phi Y) + X(eta(Y)) + eta(Y) tau(X)
-    mixed = h @ phi + deta + np.outer(tau, eta)
-    eq1 = np.einsum("k,kij->ij", eta, g) - mixed
+    mixed = h @ phi + deta + tau[..., :, None] * eta[..., None, :]
+    eq1 = np.einsum("...k,...kij->...ij", eta, g) - mixed
 
     # phi(nabla_X Y) = nabla_X(phi Y) - eta(Y) S X - h(X, Y) xi
-    nabla_phi = np.einsum("ikj->kij", dphi) + np.einsum("kim,mj->kij", g, phi)
+    nabla_phi = np.einsum("...ikj->...kij", dphi) + np.einsum("...kim,...mj->...kij", g, phi)
     eq2 = (
-        np.einsum("km,mij->kij", phi, g)
+        np.einsum("...km,...mij->...kij", phi, g)
         - nabla_phi
-        + np.einsum("j,ki->kij", eta, s)
-        + np.einsum("ij,k->kij", h, xi)
+        + np.einsum("...j,...ki->...kij", eta, s)
+        + np.einsum("...ij,...k->...kij", h, xi)
     )
 
     # eta([X, Y]) = 0 for coordinate fields: antisymmetrized right side.
-    eq3 = mixed - mixed.T
+    eq3 = mixed - _t(mixed)
 
     # phi([X, Y]) = 0: nabla_X(phi Y) - nabla_Y(phi X) + eta(X) S Y - eta(Y) S X
     eq4 = (
         nabla_phi
-        - nabla_phi.transpose(0, 2, 1)
-        + np.einsum("i,kj->kij", eta, s)
-        - np.einsum("j,ki->kij", eta, s)
+        - _t(nabla_phi)
+        + np.einsum("...i,...kj->...kij", eta, s)
+        - np.einsum("...j,...ki->...kij", eta, s)
     )
 
     # eta(nabla_X xi) = tau(X)
-    nabla_xi = dxi.T + np.einsum("kim,m->ki", g, xi)
-    eq5 = eta @ nabla_xi - tau
+    nabla_xi = _t(dxi) + np.einsum("...kim,...m->...ki", g, xi)
+    eq5 = _mv(_t(nabla_xi), eta) - tau
 
     # eta(S X) = -h(X, xi)
-    eq6 = eta @ s + h @ xi
+    eq6 = _mv(_t(s), eta) + _mv(h, xi)
 
     return {
         "eta_nabla": eq1,
@@ -353,27 +329,32 @@ def _cor_wzory_identities(pa: PointAnalysis) -> dict:
     eta, phi, xi = pd.eta, pd.phi, pd.xi
     # Fields over the ker(eta) basis: rows Z_a, d_l Z_a^k as dz[a, k, l].
     z, dz = pd.D_basis, pd.dbasis
-    pz = z @ phi.T  # rows phi Z_a
-    dpz = np.einsum("lkm,am->akl", pd.dphi, z) + np.einsum("km,aml->akl", phi, dz)
-    gz = np.einsum("klm,al->akm", g, z)  # Gamma(Z_a, .)
+    pz = z @ _t(phi)  # rows phi Z_a
+    dpz = np.einsum("...lkm,...am->...akl", pd.dphi, z) + np.einsum("...km,...aml->...akl", phi, dz)
+    gz = np.einsum("...klm,...al->...akm", g, z)  # Gamma(Z_a, .)
     # Z_a(Y_b) and the covariant derivatives nabla_{Z_a} Y_b, index [a, b, k].
-    dzz = np.einsum("bkl,al->abk", dz, z)
-    nab = dzz + np.einsum("akm,bm->abk", gz, z)
-    nab_pz = np.einsum("bkl,al->abk", dpz, z) + np.einsum("akm,bm->abk", gz, pz)
-    h_zpz = z @ h @ pz.T  # h(Z_a, phi Z_b)
-    h_xipz = xi @ h @ pz.T  # h(xi, phi Z_a)
-    nab_xi_z = dz @ xi + z @ np.einsum("klm,l->km", g, xi).T
+    dzz = np.einsum("...bkl,...al->...abk", dz, z)
+    nab = dzz + np.einsum("...akm,...bm->...abk", gz, z)
+    nab_pz = np.einsum("...bkl,...al->...abk", dpz, z) + np.einsum("...akm,...bm->...abk", gz, pz)
+    h_zpz = z @ h @ _t(pz)  # h(Z_a, phi Z_b)
+    h_xipz = _mv(pz, _mv(_t(h), xi))  # h(xi, phi Z_a)
+    dz_xi = np.einsum("...akl,...l->...ak", dz, xi)  # xi(Z_a)
+    nab_xi_z = dz_xi + z @ _t(np.einsum("...klm,...l->...km", g, xi))
 
     # eta(nabla_Z W) = h(Z, phi W)
-    r1 = nab @ eta - h_zpz
+    r1 = np.einsum("...abk,...k->...ab", nab, eta) - h_zpz
     # eta(nabla_xi Z) = h(xi, phi Z)
-    r2 = nab_xi_z @ eta - h_xipz
+    r2 = _mv(nab_xi_z, eta) - h_xipz
     # phi(nabla_Z W) = nabla_Z(phi W) - h(Z, W) xi
-    r3 = nab @ phi.T - nab_pz + (z @ h @ z.T)[..., None] * xi
+    r3 = (
+        np.einsum("...abm,...km->...abk", nab, phi)
+        - nab_pz
+        + (z @ h @ _t(z))[..., None] * xi[..., None, None, :]
+    )
     # eta([Z, W]) = h(Z, phi W) - h(W, phi Z)
-    r4 = (dzz - dzz.transpose(1, 0, 2)) @ eta - h_zpz + h_zpz.T
+    r4 = np.einsum("...abk,...k->...ab", dzz - np.swapaxes(dzz, -3, -2), eta) - h_zpz + _t(h_zpz)
     # eta([Z, xi]) = -h(xi, phi Z) + tau(Z)
-    r5 = (z @ pd.dxi - dz @ xi) @ eta + h_xipz - z @ tau
+    r5 = _mv(z @ pd.dxi - dz_xi, eta) + h_xipz - _mv(z, tau)
     return {
         "eta_nabla_zw": r1,
         "eta_nabla_xi_z": r2,
@@ -387,13 +368,13 @@ def _lem_est_identities(pa: PointAnalysis) -> dict:
     ind, pd = pa.ind, pa.pd
     h, s, tau = ind.h, ind.S, ind.tau
     eta, phi, xi = pd.eta, pd.phi, pd.xi
-    z0 = s @ xi + xi
+    z0 = _mv(s, xi) + xi
     return {
-        "eta_equals_h_xi": eta - h @ xi,
-        "z0_in_kernel": eta @ z0,
+        "eta_equals_h_xi": eta - _mv(h, xi),
+        "z0_in_kernel": np.einsum("...i,...i->...", eta, z0),
         "info_z0_norm": z0,
-        "shape_preserves_kernel": pd.D_basis @ (s.T @ eta),
-        "tau_from_z0": pd.D_basis @ tau + pd.D_basis @ h @ (phi @ z0),
+        "shape_preserves_kernel": _mv(pd.D_basis, _mv(_t(s), eta)),
+        "tau_from_z0": _mv(pd.D_basis, tau) + _mv(pd.D_basis @ h, _mv(phi, z0)),
     }
 
 
@@ -401,23 +382,24 @@ def _lem_cubic_identities(pa: PointAnalysis) -> dict:
     ind, pd = pa.ind, pa.pd
     q = pa.der.Q
     z = pd.D_basis
-    zphi = z @ pd.phi.T  # rows are phi Z_a
-    q_zz = z @ (q @ z.T)  # Q(., Z_a, Z_b) as [i, a, b]
-    q_pp = zphi @ (q @ zphi.T)
-    h_sw_phiw = np.einsum("ak,ak->a", z @ ind.S.T @ ind.h, zphi)
-    q_xi = np.einsum("i,iaa->a", pd.xi, q_zz)
-    h_sphi_w = np.einsum("ak,ak->a", zphi @ ind.S.T @ ind.h, z)
+    zphi = z @ _t(pd.phi)  # rows are phi Z_a
+    # Q(., Z_a, Z_b) as [i, a, b], and Q(., phi Z_a, phi Z_b).
+    q_zz = z[..., None, :, :] @ (q @ _t(z)[..., None, :, :])
+    q_pp = zphi[..., None, :, :] @ (q @ _t(zphi)[..., None, :, :])
+    h_sw_phiw = np.einsum("...ak,...ak->...a", z @ _t(ind.S) @ ind.h, zphi)
+    q_xi = np.einsum("...i,...iaa->...a", pd.xi, q_zz)
+    h_sphi_w = np.einsum("...ak,...ak->...a", zphi @ _t(ind.S) @ ind.h, z)
     return {
         "cubic_phi_reflection": q_zz + q_pp,
-        "cubic_kernel_vanishing": z @ q_zz.reshape(len(q), -1),  # Q(Z_a, Z_b, Z_c)
-        "cubic_reeb_slot": np.concatenate((q_xi + h_sw_phiw, h_sw_phiw + h_sphi_w)),
+        "cubic_kernel_vanishing": np.einsum("...ci,...iab->...cab", z, q_zz),  # Q(Z_c, Z_a, Z_b)
+        "cubic_reeb_slot": np.concatenate((q_xi + h_sw_phiw, h_sw_phiw + h_sphi_w), axis=-1),
         "info_h_shape_phi": h_sw_phiw,
     }
 
 
 def _thm_stau_identities(pa: PointAnalysis) -> dict:
     return {
-        "s_plus_id": pa.ind.S + np.eye(len(pa.ind.S)),
+        "s_plus_id": pa.ind.S + np.eye(pa.ind.S.shape[-1]),
         "tau_norm": pa.ind.tau,
     }
 
@@ -442,9 +424,13 @@ def _quadric_fwd_identities(pa: PointAnalysis) -> dict:
     return {"cubic_max": pa.der.Q}
 
 
+def _signature_defect(pa: PointAnalysis) -> np.ndarray:
+    n = pa.pd.n
+    return np.where(np.all(np.asarray(pa.signature) == (n + 1, n), axis=-1), 0.0, 1.0)
+
+
 def _metric_identities(pa: PointAnalysis) -> dict:
     ax = axiom_residuals(pa.pd)
-    n = pa.pd.n
     return {
         "j_tangency": pa.pd.tangency,
         "phi_square": ax["phi_square"],
@@ -452,18 +438,17 @@ def _metric_identities(pa: PointAnalysis) -> dict:
         "phi_xi": ax["phi_xi"],
         "eta_phi": ax["eta_phi"],
         "eigen_split": ax["eigen_split"],
-        "eigen_counts": 0.0 if ax["eigen_counts_ok"] else 1.0,
+        "eigen_counts": np.where(ax["eigen_counts_ok"], 0.0, 1.0),
         "metric": pa.metric,
-        "signature_defect": 0.0 if pa.signature == (n + 1, n) else 1.0,
+        "signature_defect": _signature_defect(pa),
     }
 
 
 def _converse_identities(pa: PointAnalysis) -> dict:
-    n = pa.pd.n
     return {
         "j_tangency": pa.pd.tangency,
         "metric": pa.metric,
-        "signature_defect": 0.0 if pa.signature == (n + 1, n) else 1.0,
+        "signature_defect": _signature_defect(pa),
         **_thm_stau_identities(pa),
         **_quadric_fwd_identities(pa),
         # repeats "metric" with the same value, which keeps its place above
@@ -491,13 +476,15 @@ _BATTERIES = {
 _GATES = (("j_tangency", "transversal not J-tangent"), ("metric", "structure not metric"))
 
 
-def _gate_failure(pa: PointAnalysis, gate: str | None, tol: float) -> str | None:
+def _gate_failure(pa: PointAnalysis, idx: int, gate: str | None, tol: float) -> str | None:
+    """Sample ``idx``'s skip reason under the gate, or None where it passes."""
     if gate is None:
         return None
+    gated = {"j_tangency": pa.pd.tangency, "metric": pa.metric}
     for name, what in _GATES[: 2 if gate == "metric" else 1]:
-        value = pa.gate_residuals[name]
-        if not _score({name: value}, tol)[3]:
-            return f"gate: {what} (residual {value:.3g})"
+        ids, _, _, ok = _score({name: gated[name][idx]}, tol)
+        if not ok:
+            return f"gate: {what} (residual {ids[name]:.3g})"
     return None
 
 
@@ -509,32 +496,42 @@ def run_suite(
     scene: ImmersionScene,
     theorem_id: str,
     diagnostic: bool = False,
-    analyses: list | None = None,
+    analyses: PointAnalysis | None = None,
 ) -> TheoremReport:
     """Evaluate one battery over every sample of a scene.
 
-    A sample is skipped, with its reason, when it could not be analyzed or
-    its h is degenerate where the battery needs an inverse ("degenerate: ..."),
-    or when it fails the battery's hypothesis gate outside diagnostic mode
-    ("gate: ...").
+    ``analyses`` is the scene's batch (``analyze_scene``, computed here when
+    not given).  The battery body runs once, on the whole batch, and each
+    sample is scored on its slice of the residuals.  A sample is skipped,
+    with its reason, when it could not be analyzed or its h is degenerate
+    where the battery needs an inverse ("degenerate: ..."), or when it fails
+    the battery's hypothesis gate outside diagnostic mode ("gate: ...").
     """
     if theorem_id not in _BATTERIES:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     body, gate, tolerances = _BATTERIES[theorem_id]
     tol = dict(tolerances) if isinstance(tolerances, dict) else float(scene.tolerances[tolerances])
-    if analyses is None:
-        analyses = analyze_scene(scene)
+    batch = analyze_scene(scene) if analyses is None else analyses
+    faults = no_failures(0) if batch is None else batch.pd.faults
+
+    reasons = []
+    for idx, fault in enumerate(faults):
+        if fault is not None:
+            reasons.append(f"degenerate: {type(fault).__name__}: {fault}")
+        else:
+            reasons.append(None if diagnostic else _gate_failure(batch, idx, gate, tol))
+    residuals = {}
+    if None in reasons:
+        # The body's copy, whose record takes its own DegenerateMetric failures.
+        pa = copy.copy(batch)
+        pa.pd = replace(batch.pd, faults=faults.copy())
+        residuals = body(pa)
+        faults = pa.pd.faults
 
     outcomes = []
-    for idx, pa in enumerate(analyses):
-        reason = f"degenerate: {pa}" if isinstance(pa, str) else None
-        if reason is None and not diagnostic:
-            reason = _gate_failure(pa, gate, tol)
-        if reason is None:
-            try:
-                residuals = body(pa)
-            except DegenerateMetric as exc:
-                reason = f"degenerate: {exc}"
+    for idx, reason in enumerate(reasons):
+        if reason is None and faults[idx] is not None:
+            reason = f"degenerate: {faults[idx]}"
         if reason is not None:
             outcomes.append(
                 SampleOutcome(
@@ -546,7 +543,7 @@ def run_suite(
                 )
             )
             continue
-        ids, vac, worst, ok = _score(residuals, tol)
+        ids, vac, worst, ok = _score({k: r[idx] for k, r in residuals.items()}, tol)
         if theorem_id == "PROP_NORMAL":
             # The proposition is an equivalence: both residuals must sit on
             # the same side of the tolerance, and a NaN sits on neither.
@@ -558,7 +555,7 @@ def run_suite(
                 index=idx,
                 identities=ids,
                 extras=(
-                    {"signature": list(pa.signature)}
+                    {"signature": batch.signature[idx].tolist()}
                     if theorem_id == "THM_QUADRIC_CONV"
                     else {}
                 ),

@@ -171,12 +171,13 @@ def test_acceptance_4_equivalence_theorem(converse_reports):
     for seed in range(5):
         spec = random_quadric_spec(1 + seed % 2, 7700 + seed)
         scene = perturbed_scene(spec, epsilon=0.1, seed=seed, num_samples=20)
-        for pa in analyze_scene(scene):
-            assert not isinstance(pa, str)
+        batch = analyze_scene(scene)
+        for i, fault in enumerate(batch.pd.faults):
+            assert fault is None
             total += 1
-            m = pa.ind.S.shape[0]
-            s_plus_id = float(np.max(np.abs(pa.ind.S + np.eye(m))))
-            if float(np.max(np.abs(pa.metric))) > 1e-3 and s_plus_id > 1e-2:
+            m = batch.ind.S.shape[-1]
+            s_plus_id = float(np.max(np.abs(batch.ind.S[i] + np.eye(m))))
+            if float(np.max(np.abs(batch.metric[i]))) > 1e-3 and s_plus_id > 1e-2:
                 hits += 1
     negative_ok = hits >= 0.9 * total
     ok = joint_ok and negative_ok

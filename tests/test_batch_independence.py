@@ -1,8 +1,9 @@
 """The batched analysis against each sample analysed alone.
 
 ``analyze_scene`` runs the whole pipeline once, on the stack of a scene's
-samples.  Every array it hands the batteries must agree with analysing that
-sample as a stack of one, and a sample that fails (outside the chart, an
+samples, and every battery body runs once per suite on that batch.  Each
+sample's slice of every array and of every body's residuals must agree with
+analysing that sample alone, and a sample that fails (outside the chart, an
 ill-conditioned frame, no ker(eta) pivot) must be reported with the same
 message as a single point raises, without touching its neighbours.
 """
@@ -12,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from parageom import paracontact
+from parageom import paracontact, theorems
 from parageom.errors import DegenerateFrame
 from parageom.hypersurface import (
     hyperbola_scene,
@@ -43,8 +44,9 @@ def scenes():
 SCENES = list(scenes())
 
 
-def arrays(pa):
-    """Every array the batteries read from an analysis, by name."""
+def arrays(pa, i=None):
+    """Every array the batteries read from an analysis, by name; sample
+    ``i`` of a batch when given."""
     out = {"metric": pa.metric, "u": pa.u}
     for record in (pa.ind, pa.der, pa.pd):
         for f in fields(record):
@@ -54,12 +56,16 @@ def arrays(pa):
     for key, value in vars(pa.ind.frame).items():
         if isinstance(value, (np.ndarray, np.generic)) and key != "faults":
             out[f"Frame.{key}"] = np.asarray(value)
-    return out
+    return out if i is None else {name: a[i] for name, a in out.items()}
 
 
-def assert_same_analysis(got, want, label):
-    assert got.signature == want.signature, label
-    a, b = arrays(got), arrays(want)
+def assert_same_analysis(batch, i, want, label, j=None):
+    """Sample ``i`` of ``batch`` against the single point ``want``, or
+    against its sample ``j``."""
+    got_sig = tuple(batch.signature[i].tolist())
+    want_sig = want.signature if j is None else tuple(want.signature[j].tolist())
+    assert got_sig == want_sig, label
+    a, b = arrays(batch, i), arrays(want, j)
     assert list(a) == list(b), label
     for name in a:
         assert a[name].shape == b[name].shape, (label, name)
@@ -67,15 +73,47 @@ def assert_same_analysis(got, want, label):
         assert gap <= TOL, (label, name, gap)
 
 
+def describe(fault):
+    return f"{type(fault).__name__}: {fault}"
+
+
 @pytest.mark.parametrize("label,scene", SCENES, ids=[label for label, _ in SCENES])
 def test_batch_matches_each_sample_as_a_stack_of_one(label, scene):
-    analyses = analyze_scene(scene)
-    assert len(analyses) == len(scene.samples)
-    for i, pa in enumerate(analyses):
-        assert not isinstance(pa, str), (label, pa)
-        (alone,) = analyze_scene(with_samples(scene, [scene.samples[i]]))
-        assert_same_analysis(pa, alone, f"{label} sample {i}")
-        assert_same_analysis(pa, analyze_point(scene, scene.samples[i]), f"{label} point {i}")
+    batch = analyze_scene(scene)
+    assert len(batch.u) == len(scene.samples)
+    for i, fault in enumerate(batch.pd.faults):
+        assert fault is None, (label, describe(fault))
+        alone = analyze_scene(with_samples(scene, [scene.samples[i]]))
+        assert_same_analysis(batch, i, alone, f"{label} sample {i}", j=0)
+        assert_same_analysis(batch, i, analyze_point(scene, scene.samples[i]), f"{label} point {i}")
+
+
+@pytest.mark.parametrize("label,scene", SCENES, ids=[label for label, _ in SCENES])
+def test_each_battery_body_runs_once_on_the_batch_and_matches_single_points(
+    label, scene, monkeypatch
+):
+    batch = analyze_scene(scene)
+    points = [analyze_point(scene, u) for u in scene.samples]
+    for theorem_id, (body, gate, tolerances) in theorems._BATTERIES.items():
+        residuals = body(batch)
+        for i, pa in enumerate(points):
+            want = body(pa)
+            assert list(residuals) == list(want), (label, theorem_id)
+            for name, r in residuals.items():
+                r, w = np.asarray(r)[i], np.asarray(want[name])
+                assert r.shape == w.shape, (label, theorem_id, name, i)
+                gap = float(np.max(np.abs(r - w), initial=0.0))
+                assert gap <= TOL, (label, theorem_id, name, i, gap)
+
+        calls = []
+
+        def counted(pa, body=body):
+            calls.append(pa)
+            return body(pa)
+
+        monkeypatch.setitem(theorems._BATTERIES, theorem_id, (counted, gate, tolerances))
+        run_suite(scene, theorem_id, diagnostic=True, analyses=batch)
+        assert len(calls) == 1, (label, theorem_id)
 
 
 def with_samples(scene, samples):
@@ -94,9 +132,9 @@ def mixed_scene():
 
 def test_failed_samples_keep_their_message_and_spare_their_neighbours():
     scene, good = mixed_scene()
-    analyses = analyze_scene(scene)
-    assert analyses[1] == "ChartLeak: quadric value -3 <= 0 at chart point"
-    assert analyses[3] == "DegenerateFrame: frame condition number 1e+10"
+    batch = analyze_scene(scene)
+    assert describe(batch.pd.faults[1]) == "ChartLeak: quadric value -3 <= 0 at chart point"
+    assert describe(batch.pd.faults[3]) == "DegenerateFrame: frame condition number 1e+10"
     report = run_suite(scene, "METRIC")
     assert [s.skip_reason for s in report.per_sample] == [
         None,
@@ -107,19 +145,30 @@ def test_failed_samples_keep_their_message_and_spare_their_neighbours():
     ]
     assert report.status == "passed"
     clean = analyze_scene(with_samples(scene, good))
-    for got, want in zip([analyses[0], analyses[2], analyses[4]], clean):
-        assert_same_analysis(got, want, "neighbour")
+    for j, i in enumerate([0, 2, 4]):
+        assert_same_analysis(batch, i, clean, "neighbour", j=j)
+    # Every body runs on the whole batch, failed samples included, without a
+    # warning; they skip with the same reasons and change no neighbour.
+    clean_scene = with_samples(scene, good)
+    for theorem_id in theorems._BATTERIES:
+        got = run_suite(scene, theorem_id, diagnostic=True, analyses=batch).per_sample
+        want = run_suite(clean_scene, theorem_id, diagnostic=True, analyses=clean).per_sample
+        assert [s.skip_reason for s in got[1::2]] == [r.skip_reason for r in report.per_sample[1::2]]
+        for j, i in enumerate([0, 2, 4]):
+            ids, ref = got[i].identities, want[j].identities
+            assert list(ids) == list(ref), (theorem_id, i)
+            assert all(abs(ids[k] - ref[k]) <= TOL for k in ids), (theorem_id, i)
 
 
 def test_a_nan_point_fails_alone():
     # Its frame value is not finite: the sample goes on as the flat frame,
     # so no eigenvalue or linear solve of the stack sees a NaN.
     scene, good = mixed_scene()
-    analyses = analyze_scene(with_samples(scene, [good[0], [np.nan, 0.0, 0.0], good[1]]))
-    assert analyses[1] == "DegenerateFrame: frame condition number nan"
+    batch = analyze_scene(with_samples(scene, [good[0], [np.nan, 0.0, 0.0], good[1]]))
+    assert describe(batch.pd.faults[1]) == "DegenerateFrame: frame condition number nan"
     clean = analyze_scene(with_samples(scene, good[:2]))
-    for got, want in zip([analyses[0], analyses[2]], clean):
-        assert_same_analysis(got, want, "neighbour")
+    for j, i in enumerate([0, 2]):
+        assert_same_analysis(batch, i, clean, "neighbour", j=j)
 
 
 def test_pivot_floor_failures_are_kept_per_sample(monkeypatch):
@@ -128,6 +177,6 @@ def test_pivot_floor_failures_are_kept_per_sample(monkeypatch):
     scene = quadric_scene(random_quadric_spec(1, 125), seed=125, num_samples=3)
     monkeypatch.setattr(paracontact, "_DBASIS_PIVOT", 10.0)
     message = "DegenerateFrame: cannot span ker(eta): residual candidates below pivot floor"
-    assert analyze_scene(scene) == [message] * 3
+    assert [describe(f) for f in analyze_scene(scene).pd.faults] == [message] * 3
     with pytest.raises(DegenerateFrame, match="pivot floor"):
         analyze_point(scene, scene.samples[0])

@@ -357,9 +357,10 @@ def test_sweep_epsilon_zero_matches_plain_quadric(tmp_path):
         basis=scene.params["basis"],
         samples=scene.samples,
     )
-    for pa in analyze_scene(plain):
-        assert not isinstance(pa, str)
-        assert np.max(np.abs(pa.metric)) <= 1e-8
+    batch = analyze_scene(plain)
+    for i, fault in enumerate(batch.pd.faults):
+        assert fault is None
+        assert np.max(np.abs(batch.metric[i])) <= 1e-8
 
 
 def test_sweep_empty_values(tmp_path):
@@ -384,3 +385,15 @@ def test_main_gen_and_sweep(tmp_path):
     assert main(["sweep", perturbed_file(tmp_path), "--values", "0.1,0.01"]) == EXIT_PASS
     assert main(["sweep", perturbed_file(tmp_path), "--values", "oops"]) == EXIT_INPUT
     assert main(["sweep", perturbed_file(tmp_path), "--values", "0.1,nan"]) == EXIT_INPUT
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    from parageom import cli
+
+    cli._parser.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == EXIT_INPUT
+    assert main(["verify", hyperbola_file(tmp_path)]) == EXIT_PASS
+    assert cli._parser.cache_info().misses == 1

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from parageom import theorems
+from parageom.cli import EXIT_DEGENERATE, run_verification
 from parageom.hypersurface import (
+    ImmersionScene,
+    Polynomial,
     fundamental_residuals,
+    graph_scene,
     hyperbola_scene,
     perturbed_scene,
     quadric_scene,
@@ -242,9 +246,9 @@ def test_all_suites_pass_on_quadric_scene():
         assert report.num_skipped == 0
 
 
-def test_normality_computed_once_per_sample(monkeypatch):
+def test_normality_computed_once_per_scene(monkeypatch):
     # PROP_NORMAL, THM_EQUIV and the converse row share one normality
-    # evaluation per sample when they run over the same analyses.
+    # evaluation, on the whole batch, when they run over the same analysis.
     calls = []
     real = theorems.normality_residuals
 
@@ -257,7 +261,47 @@ def test_normality_computed_once_per_sample(monkeypatch):
     analyses = analyze_scene(scene)
     for suite in SCENE_SUITES + ("THM_QUADRIC_CONV",):
         assert run_suite(scene, suite, analyses=analyses).status == "passed", suite
-    assert len(calls) == len(scene.samples)
+    assert len(calls) == 1
+    assert calls[0].shape == (len(scene.samples), scene.chart_dim)
+
+
+def test_degenerate_h_skips_only_the_batteries_that_invert_it():
+    # n = 0: the graph u -> u^3 with C = (0, 1) has h = 0 at u = 0.  THM_EQUIV
+    # needs h^{-1} (Levi-Civita) and skips that sample; at n = 0 the
+    # operational normality defect needs no h, so PROP_NORMAL scores it, as
+    # METRIC does.
+    scene = graph_scene(Polynomial(1, [((3,), 1.0)]), samples=[[0.0], [0.5]])
+    equiv = run_suite(scene, "THM_EQUIV", diagnostic=True)
+    assert [s.skip_reason for s in equiv.per_sample] == [
+        "degenerate: h determinant 0 below floor",
+        None,
+    ]
+    for suite in ("PROP_NORMAL", "METRIC"):
+        report = run_suite(scene, suite, diagnostic=True)
+        assert not any(s.skipped for s in report.per_sample), suite
+    assert run_suite(scene, "PROP_NORMAL", diagnostic=True).status == "passed"
+
+    # n = 1: one sample's h made degenerate (|det h| / max|h|^3 = 1e-12)
+    # skips that sample alone in every battery that needs h^{-1}, and leaves
+    # its neighbours' identities as they were.
+    scene = quadric_scene(random_quadric_spec(1, 130), seed=130, num_samples=3)
+    batch = analyze_scene(scene)
+    h = batch.ind.h.copy()
+    h[1] = np.diag([1.0, 1e-6, -1e-6])
+    bad = replace(batch, ind=replace(batch.ind, h=h))
+    # THM_EQUIV first: PROP_NORMAL then reads the normality it cached.
+    for suite in ("THM_EQUIV", "PROP_NORMAL", "THM_QUADRIC_CONV"):
+        got = run_suite(scene, suite, analyses=bad).per_sample
+        want = run_suite(scene, suite, analyses=batch).per_sample
+        assert [s.skip_reason for s in got] == [
+            None,
+            "degenerate: h determinant -1e-12 below floor",
+            None,
+        ], suite
+        assert not any(s.skipped for s in want), suite
+        for i in (0, 2):
+            assert got[i].identities == want[i].identities, (suite, i)
+    assert not any(s.skipped for s in run_suite(scene, "METRIC", analyses=bad).per_sample)
 
 
 def test_metric_suite_fails_on_perturbed_scene():
@@ -348,30 +392,36 @@ def test_score_fails_nan_and_shows_it_in_worst():
     assert theorems._score({"info_z0_norm": nan, "x": 0.5}, 1.0)[2:] == (0.5, True)
 
 
-def test_nan_gate_residuals_skip_and_nan_residuals_fail():
+def test_nan_gate_residuals_skip_and_nan_residuals_fail(monkeypatch):
     nan = float("nan")
     scene = quadric_scene(fixed_n1_spec(), seed=97, num_samples=2)
-    pa = analyze_point(scene, scene.samples[0])
-    not_tangent = replace(pa, pd=replace(pa.pd, tangency=nan))
-    not_metric = replace(pa, metric=np.full_like(pa.metric, nan))
+    batch = analyze_scene(scene)
+    tangency = batch.pd.tangency.copy()
+    tangency[:] = nan
+    not_tangent = replace(batch, pd=replace(batch.pd, tangency=tangency))
+    metric = batch.metric.copy()
+    metric[:] = nan
+    not_metric = replace(batch, metric=metric)
 
-    report = run_suite(scene, "TW_WZORY", analyses=[not_tangent])
+    report = run_suite(scene, "TW_WZORY", analyses=not_tangent)
     assert report.status == "skipped"
     assert report.per_sample[0].skip_reason == "gate: transversal not J-tangent (residual nan)"
-    report = run_suite(scene, "LEM_EST", analyses=[not_metric])
+    report = run_suite(scene, "LEM_EST", analyses=not_metric)
     assert report.per_sample[0].skip_reason == "gate: structure not metric (residual nan)"
 
     # Ungated, the NaN fails the sample and shows in both maxima.
-    report = run_suite(scene, "METRIC", analyses=[pa, not_metric])
+    metric = batch.metric.copy()
+    metric[1] = nan
+    report = run_suite(scene, "METRIC", analyses=replace(batch, metric=metric))
     assert report.status == "failed"
     assert [s.passed for s in report.per_sample] == [True, False]
     assert np.isnan(report.per_sample[1].max_residual)
     assert np.isnan(report.max_residual)
 
     # Both normality defects NaN: neither side of the equivalence holds.
-    both_nan = replace(pa)
-    both_nan.normality = (np.array([nan]), np.array([nan]))
-    assert run_suite(scene, "PROP_NORMAL", analyses=[both_nan]).status == "failed"
+    both_nan = (np.full((2, 1), nan), np.full((2, 1), nan))
+    monkeypatch.setattr(theorems, "normality_residuals", lambda pd, ind: both_nan)
+    assert run_suite(scene, "PROP_NORMAL", analyses=batch).status == "failed"
 
 
 def test_engine_row_is_an_ungated_battery_at_the_engine_tolerance():
@@ -419,6 +469,17 @@ def test_n0_vacuous_identities(scene):
             assert all(s.identities[k] == 0.0 for k in names)
             # LEM_EST keeps two identities that do not quantify over ker(eta).
             assert s.vacuous == (theorem_id != "LEM_EST")
+
+
+def test_scene_without_samples_skips_every_suite():
+    scene = ImmersionScene(family="hyperbola", n=0, params={})
+    assert analyze_scene(scene) is None
+    for suite in SCENE_SUITES + ("ENGINE", "THM_QUADRIC_CONV"):
+        report = run_suite(scene, suite)
+        assert report.status == "skipped" and report.per_sample == [], suite
+    report, code = run_verification(scene, SCENE_SUITES, timing=False)
+    assert report["samples"]["total"] == 0
+    assert report["overall"] == "degenerate" and code == EXIT_DEGENERATE
 
 
 def test_unknown_suite_id():
