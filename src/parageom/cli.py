@@ -333,7 +333,8 @@ def cmd_verify(path, json_path=None, diagnostic=False, no_timing=False) -> int:
     _print_summary(scene, report)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            # Without ``indent``, json takes its C encoder.
+            fh.write(json.dumps(report, sort_keys=True) + "\n")
     return code
 
 
@@ -455,12 +456,11 @@ def _parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--num-samples", type=int, default=DEFAULT_NUM_SAMPLES)
     p_gen.add_argument("--sample-box", type=float, default=DEFAULT_SAMPLE_BOX)
 
-    p_sweep = sub.add_parser("sweep", help="sweep a scene parameter, gates off")
+    p_sweep = sub.add_parser("sweep", help="sweep a perturbed scene's epsilon, gates off")
     p_sweep.add_argument("scene")
-    p_sweep.add_argument("--param", default="epsilon", choices=["epsilon"])
     p_sweep.add_argument(
         "--values", required=True,
-        help="comma-separated parameter values, e.g. 0.1,0.01,0.001",
+        help="comma-separated epsilon values, e.g. 0.1,0.01,0.001",
     )
     return parser
 

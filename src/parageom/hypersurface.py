@@ -616,7 +616,7 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
 def h_is_degenerate(h: np.ndarray):
     """Whether h is degenerate: |det h| below ``H_DET_FLOOR`` relative to
     max|h|^m (a bool array over a stack).  The package's one such test;
-    everything that needs h^{-1} records DegenerateMetric on it."""
+    everything that needs h^{-1} reads it."""
     scale = np.max(np.abs(h), axis=(-2, -1))
     unit = np.where(scale == 0.0, 1.0, scale)[..., None, None]
     bad = (scale == 0.0) | (np.abs(np.linalg.det(h / unit)) < H_DET_FLOOR)

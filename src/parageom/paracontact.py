@@ -22,8 +22,10 @@ module measures:
 
 Each residual function returns the raw residual tensor, never its norm:
 ``theorems._score`` alone reduces residuals and compares them with tolerances.
-Where one needs h^{-1}, a degenerate h raises DegenerateMetric at a single
-point; a stack records it in ``pd.faults`` and uses the identity instead.
+None of them writes a failure record.  Where one needs h^{-1}, a degenerate
+h raises DegenerateMetric at a single point; a stack uses the identity in its
+place, and ``theorems.run_suite`` skips that sample in every battery that
+inverts h.
 
 All exterior derivatives use the convention
 d w(X, Y) = (X(w(Y)) - Y(w(X)) - w([X, Y])) / 2.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame, DegenerateMetric, no_failures, record_failures
+from .errors import DegenerateFrame, DegenerateMetric, record_failures
 from .hypersurface import InducedData, h_is_degenerate
 from .paracomplex import apply_J
 
@@ -195,18 +197,19 @@ def axiom_residuals(pd: ParacontactData) -> dict:
     return out
 
 
-def _invertible(h: np.ndarray, faults: np.ndarray) -> np.ndarray:
-    """h, with the identity for each sample already failed in ``faults`` or
-    whose h ``h_is_degenerate`` (the one degeneracy test, shared with
-    ``induced_data``), which gets DegenerateMetric there; a point raises it."""
-    m = h.shape[-1]
-    flat = h.reshape(-1, m, m)
-    bad = record_failures(
-        faults,
-        h_is_degenerate(h),
-        lambda k: DegenerateMetric(f"h determinant {np.linalg.det(flat[k]):.3g} below floor"),
-    )
-    return np.where(bad[..., None, None], np.eye(m), h)
+def degenerate_metric(h: np.ndarray) -> DegenerateMetric:
+    """The failure of one degenerate h ``(m, m)``."""
+    return DegenerateMetric(f"h determinant {np.linalg.det(h):.3g} below floor")
+
+
+def _invertible(h: np.ndarray) -> np.ndarray:
+    """h, with the identity in place of each h of a stack that
+    ``h_is_degenerate`` (the one degeneracy test); a degenerate single point
+    raises its DegenerateMetric."""
+    bad = h_is_degenerate(h)
+    if h.ndim == 2 and bad:
+        raise degenerate_metric(h)
+    return np.where(np.asarray(bad)[..., None, None], np.eye(h.shape[-1]), h)
 
 
 def normality_residuals(pd: ParacontactData, induced: InducedData):
@@ -229,7 +232,7 @@ def normality_residuals(pd: ParacontactData, induced: InducedData):
     if pd.n == 0:
         return nijenhuis, np.zeros(pd.eta.shape[:-1])
     # |h| as a positive definite matrix: eigenvectors, absolute eigenvalues.
-    h = _invertible(induced.h, pd.faults)
+    h = _invertible(induced.h)
     vals, vecs = np.linalg.eigh(0.5 * (h + np.swapaxes(h, -1, -2)))
     habs = (vecs * np.abs(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     s_t, phi_t, z = np.swapaxes(induced.S, -1, -2), np.swapaxes(phi, -1, -2), pd.D_basis
@@ -249,7 +252,7 @@ def levi_civita(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
 
     ``dh[l, i, j]`` is d_l h_{ij}; returns ``G[k, i, j]``, symmetric in (i, j).
     """
-    h_inv = np.linalg.inv(_invertible(h, no_failures(h.shape[:-2])))
+    h_inv = np.linalg.inv(_invertible(h))
     t = dh + np.einsum("...lij->...ilj", dh) - np.einsum("...lij->...ijl", dh)
     return 0.5 * np.einsum("...kl,...ijl->...kij", h_inv, t)
 
@@ -257,7 +260,7 @@ def levi_civita(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
 def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -> np.ndarray:
     """Defect of (nabla-hat_X phi)(Y) = alpha(-h(X, Y) xi + eta(Y) X) over
     frame pairs, with nabla-hat the Levi-Civita connection of h."""
-    g = levi_civita(_invertible(induced.h, pd.faults), induced.dh)
+    g = levi_civita(induced.h, induced.dh)
     phi = pd.phi
     nab_phi = (
         pd.dphi

@@ -32,32 +32,35 @@ evaluated at every sample of a scene:
 
 Every battery runs through ``run_suite``, which calls its body once, on the
 batch ``analyze_scene`` computes once per scene (``analyze_point`` on the
-stack of its samples).  A body returns only ``{identity: residual}``, each a
-raw ndarray with the sample axis in front.  ``_score`` is the only place that
-reduces a residual or compares it with a tolerance, for the batteries and the
-hypothesis gates alike, one sample's slice at a time: an identity reads
-max |residual| and passes when that is <= its tolerance, so a NaN fails.  An
-identity quantified over ker(eta) has an empty residual at n = 0, where it is
-reported vacuous instead of counted.  Theorem hypotheses are enforced as
-numeric gates at the scene's theorem tolerance; diagnostic mode disables the
-gates so negative behaviour can be measured.  Gate skips and degeneracy skips
-are reported per sample and never silently dropped.
+stack of its samples).  A body is a pure function of the batch: it returns
+only ``{identity: residual}``, each a raw ndarray with the sample axis in
+front, and writes nothing.  ``_score`` is the only place that reduces a
+residual or compares it with a tolerance, for the batteries and the
+hypothesis gates alike, in one pass over the samples: an identity reads each
+sample's max |residual| and passes where that is <= its tolerance, so a NaN
+fails.  An identity quantified over ker(eta) has an empty residual at n = 0,
+where it is reported vacuous instead of counted.  Theorem hypotheses are
+enforced as numeric gates at the scene's theorem tolerance; diagnostic mode
+disables the gates so negative behaviour can be measured.  A row that inverts
+h names the least n at which it does, and from there ``run_suite`` skips each
+sample whose h ``h_is_degenerate``.  Analysis failures, gate skips and
+degeneracy skips are reported per sample and never silently dropped.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import failed, no_failures, record_failures
 from .hypersurface import (
     DerivedTensors,
     ImmersionScene,
     InducedData,
     derive_tensors,
+    h_is_degenerate,
     induced_data,
     quadric_scene,
     residuals_from_data,
@@ -67,6 +70,7 @@ from .paracontact import (
     ParacontactData,
     axiom_residuals,
     contact_residual,
+    degenerate_metric,
     induced_structure,
     metric_residual,
     normality_residuals,
@@ -121,21 +125,13 @@ class PointAnalysis:
     pd: ParacontactData
     metric: np.ndarray
     signature: tuple | np.ndarray
-    # Shared by shallow copies; ``dataclasses.replace`` starts a new one.
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def normality(self) -> tuple:
         """(Nijenhuis, operational) normality defects, computed once per
-        analysis for every battery that reads them.  Lazy because they need
-        h^{-1} at n >= 1: each reader's ``pd.faults`` gets the DegenerateMetric
-        failures they met, which skip only the batteries that read them."""
-        if "normality" not in self._cache:
-            met = replace(self.pd, faults=no_failures(self.pd.faults.shape))
-            self._cache["normality"] = normality_residuals(met, self.ind), met.faults
-        values, met = self._cache["normality"]
-        record_failures(self.pd.faults, failed(met), lambda k: met.flat[k])
-        return values
+        analysis for every battery that reads them; lazy because they need
+        h^{-1} at n >= 1."""
+        return normality_residuals(self.pd, self.ind)
 
 
 def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
@@ -232,29 +228,27 @@ class TheoremReport:
 
 
 def _score(residuals: dict, tol) -> tuple:
-    """``(identities, vacuous, worst, ok)`` of a body's residuals, as Python
-    values.  Each identity reads max |residual| and is ok when that is <= its
-    tolerance (a float or one per identity), which a NaN never is; ``worst``
-    shows a NaN too.  An empty residual marks the identity vacuous;
-    informational and vacuous identities count in neither verdict."""
+    """``(identities, vacuous, worst, ok)`` of residuals with the sample axis
+    in front, as Python values: each identity's max |residual| per sample,
+    the vacuous identities, and each sample's worst value and verdict.  An
+    identity is ok where its value is <= its tolerance (a float or one per
+    identity), which a NaN never is; ``worst`` shows a NaN too.  An empty
+    residual marks the identity vacuous; informational and vacuous identities
+    count in neither verdict."""
+    samples = len(next(iter(residuals.values())))
     identities, vacuous = {}, []
-    worst, ok = 0.0, True
+    worst, ok = np.zeros(samples), np.ones(samples, dtype=bool)
     for name, r in residuals.items():
-        if isinstance(r, float):
-            value, empty = abs(float(r)), False
-        else:
-            value, empty = float(np.abs(r).max(initial=0.0)), r.size == 0
-        identities[name] = value
+        value = np.abs(r).reshape(samples, -1).max(axis=1, initial=0.0)
+        identities[name] = value.tolist()
         if name in _INFORMATIONAL:
             continue
-        if empty:
+        if r.size == 0:
             vacuous.append(name)
             continue
-        if value > worst or math.isnan(value):  # once NaN, worst stays NaN
-            worst = value
-        if not value <= (tol[name] if isinstance(tol, dict) else tol):
-            ok = False
-    return identities, vacuous, worst, ok
+        worst = np.maximum(worst, value)  # once NaN, worst stays NaN
+        ok &= value <= (tol[name] if isinstance(tol, dict) else tol)
+    return identities, vacuous, worst.tolist(), ok.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -457,35 +451,24 @@ def _converse_identities(pa: PointAnalysis) -> dict:
 
 
 # theorem id -> (battery body, gate kind: None, "tangent" or "metric",
-# tolerance: the scene tolerance of that name, or one per identity)
+# tolerance: the scene tolerance of that name, or one per identity,
+# the least n at which the body inverts h: None where it never does)
 _BATTERIES = {
-    "ENGINE": (_engine_identities, None, "engine"),
-    "METRIC": (_metric_identities, None, "theorem"),
-    "TW_WZORY": (_tw_wzory_identities, "tangent", "theorem"),
-    "COR_WZORY": (_cor_wzory_identities, "tangent", "theorem"),
-    "PROP_NORMAL": (_prop_normal_identities, "tangent", "theorem"),
-    "LEM_EST": (_lem_est_identities, "metric", "theorem"),
-    "LEM_CUBIC": (_lem_cubic_identities, "metric", "theorem"),
-    "THM_STAU": (_thm_stau_identities, "metric", "theorem"),
-    "THM_EQUIV": (_thm_equiv_identities, "metric", "theorem"),
-    "THM_QUADRIC_FWD": (_quadric_fwd_identities, "metric", "theorem"),
-    "THM_QUADRIC_CONV": (_converse_identities, None, CONVERSE_TOLERANCES),
+    "ENGINE": (_engine_identities, None, "engine", None),
+    "METRIC": (_metric_identities, None, "theorem", None),
+    "TW_WZORY": (_tw_wzory_identities, "tangent", "theorem", None),
+    "COR_WZORY": (_cor_wzory_identities, "tangent", "theorem", None),
+    "PROP_NORMAL": (_prop_normal_identities, "tangent", "theorem", 1),
+    "LEM_EST": (_lem_est_identities, "metric", "theorem", None),
+    "LEM_CUBIC": (_lem_cubic_identities, "metric", "theorem", None),
+    "THM_STAU": (_thm_stau_identities, "metric", "theorem", None),
+    "THM_EQUIV": (_thm_equiv_identities, "metric", "theorem", 0),
+    "THM_QUADRIC_FWD": (_quadric_fwd_identities, "metric", "theorem", None),
+    "THM_QUADRIC_CONV": (_converse_identities, None, CONVERSE_TOLERANCES, 0),
 }
 
 # (gate residual, skip reason): a "tangent" gate checks the first, "metric" both.
 _GATES = (("j_tangency", "transversal not J-tangent"), ("metric", "structure not metric"))
-
-
-def _gate_failure(pa: PointAnalysis, idx: int, gate: str | None, tol: float) -> str | None:
-    """Sample ``idx``'s skip reason under the gate, or None where it passes."""
-    if gate is None:
-        return None
-    gated = {"j_tangency": pa.pd.tangency, "metric": pa.metric}
-    for name, what in _GATES[: 2 if gate == "metric" else 1]:
-        ids, _, _, ok = _score({name: gated[name][idx]}, tol)
-        if not ok:
-            return f"gate: {what} (residual {ids[name]:.3g})"
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -501,37 +484,49 @@ def run_suite(
     """Evaluate one battery over every sample of a scene.
 
     ``analyses`` is the scene's batch (``analyze_scene``, computed here when
-    not given).  The battery body runs once, on the whole batch, and each
-    sample is scored on its slice of the residuals.  A sample is skipped,
-    with its reason, when it could not be analyzed or its h is degenerate
-    where the battery needs an inverse ("degenerate: ..."), or when it fails
-    the battery's hypothesis gate outside diagnostic mode ("gate: ...").
+    not given).  The battery body runs once, on the whole batch, and its
+    residuals are scored in one pass over the samples.  A sample is skipped,
+    with its reason, when it could not be analyzed ("degenerate: ..."), when
+    it fails the battery's hypothesis gate outside diagnostic mode
+    ("gate: ..."), or when its h is degenerate where the battery inverts h
+    ("degenerate: ...").
     """
     if theorem_id not in _BATTERIES:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    body, gate, tolerances = _BATTERIES[theorem_id]
+    body, gate, tolerances, inverts_h = _BATTERIES[theorem_id]
     tol = dict(tolerances) if isinstance(tolerances, dict) else float(scene.tolerances[tolerances])
     batch = analyze_scene(scene) if analyses is None else analyses
-    faults = no_failures(0) if batch is None else batch.pd.faults
+    if batch is None:
+        return TheoremReport(theorem_id, tol, [], "skipped", gate)
 
-    reasons = []
-    for idx, fault in enumerate(faults):
-        if fault is not None:
-            reasons.append(f"degenerate: {type(fault).__name__}: {fault}")
-        else:
-            reasons.append(None if diagnostic else _gate_failure(batch, idx, gate, tol))
-    residuals = {}
+    reasons = [
+        None if fault is None else f"degenerate: {type(fault).__name__}: {fault}"
+        for fault in batch.pd.faults
+    ]
+    if gate is not None and not diagnostic:
+        gated = {"j_tangency": batch.pd.tangency, "metric": batch.metric}
+        for name, what in _GATES[: 2 if gate == "metric" else 1]:
+            values, _, _, ok = _score({name: gated[name]}, tol)
+            for idx, (value, passed) in enumerate(zip(values[name], ok)):
+                if reasons[idx] is None and not passed:
+                    reasons[idx] = f"gate: {what} (residual {value:.3g})"
+    if inverts_h is not None and batch.pd.n >= inverts_h:
+        for idx in np.flatnonzero(h_is_degenerate(batch.ind.h)):
+            if reasons[idx] is None:
+                reasons[idx] = f"degenerate: {degenerate_metric(batch.ind.h[idx])}"
+
     if None in reasons:
-        # The body's copy, whose record takes its own DegenerateMetric failures.
-        pa = copy.copy(batch)
-        pa.pd = replace(batch.pd, faults=faults.copy())
-        residuals = body(pa)
-        faults = pa.pd.faults
+        residuals = body(batch)
+        ids, vac, worst, ok = _score(residuals, tol)
+        if theorem_id == "PROP_NORMAL":
+            # The proposition is an equivalence: both residuals must sit on
+            # the same side of the tolerance, and a NaN sits on neither.
+            nij, op = (_score({k: residuals[k]}, tol)[3] for k in ("nijenhuis", "operational"))
+            ok = [a == b and not math.isnan(w) for a, b, w in zip(nij, op, worst)]
+        all_vacuous = bool(vac) and all(k in vac or k in _INFORMATIONAL for k in ids)
 
     outcomes = []
     for idx, reason in enumerate(reasons):
-        if reason is None and faults[idx] is not None:
-            reason = f"degenerate: {faults[idx]}"
         if reason is not None:
             outcomes.append(
                 SampleOutcome(
@@ -543,24 +538,17 @@ def run_suite(
                 )
             )
             continue
-        ids, vac, worst, ok = _score({k: r[idx] for k, r in residuals.items()}, tol)
-        if theorem_id == "PROP_NORMAL":
-            # The proposition is an equivalence: both residuals must sit on
-            # the same side of the tolerance, and a NaN sits on neither.
-            sides = {_score({k: ids[k]}, tol)[3] for k in ("nijenhuis", "operational")}
-            ok = len(sides) == 1 and not math.isnan(worst)
-        all_vacuous = bool(vac) and all(k in vac or k in _INFORMATIONAL for k in ids)
         outcomes.append(
             SampleOutcome(
                 index=idx,
-                identities=ids,
+                identities={k: v[idx] for k, v in ids.items()},
                 extras=(
                     {"signature": batch.signature[idx].tolist()}
                     if theorem_id == "THM_QUADRIC_CONV"
                     else {}
                 ),
-                max_residual=worst,
-                passed=ok,
+                max_residual=worst[idx],
+                passed=ok[idx],
                 vacuous=all_vacuous,
                 vacuous_identities=vac,
             )

@@ -94,7 +94,7 @@ def test_each_battery_body_runs_once_on_the_batch_and_matches_single_points(
 ):
     batch = analyze_scene(scene)
     points = [analyze_point(scene, u) for u in scene.samples]
-    for theorem_id, (body, gate, tolerances) in theorems._BATTERIES.items():
+    for theorem_id, (body, *row) in theorems._BATTERIES.items():
         residuals = body(batch)
         for i, pa in enumerate(points):
             want = body(pa)
@@ -111,7 +111,7 @@ def test_each_battery_body_runs_once_on_the_batch_and_matches_single_points(
             calls.append(pa)
             return body(pa)
 
-        monkeypatch.setitem(theorems._BATTERIES, theorem_id, (counted, gate, tolerances))
+        monkeypatch.setitem(theorems._BATTERIES, theorem_id, (counted, *row))
         run_suite(scene, theorem_id, diagnostic=True, analyses=batch)
         assert len(calls) == 1, (label, theorem_id)
 

@@ -161,14 +161,15 @@ def test_batteries_match_pair_loop_references(label, scene):
     # sample analysed alone.
     batch = analyze_scene(scene)
     assert all(fault is None for fault in batch.pd.faults), batch.pd.faults
-    cor, cubic = _cor_wzory_identities(batch), _lem_cubic_identities(batch)
+    cor, cor_vac = _score(_cor_wzory_identities(batch), 1.0)[:2]
+    cubic, cubic_vac = _score(_lem_cubic_identities(batch), 1.0)[:2]
     operational = normality_residuals(batch.pd, batch.ind)[1]
     for i, u in enumerate(scene.samples):
         pa = analyze_point(scene, u)
-        row = {k: r[i] for k, r in cor.items()}
-        assert_agree(_score(row, 1.0)[:2], reference_cor_wzory(pa), label)
-        row = {k: r[i] for k, r in cubic.items()}
-        assert_agree(_score(row, 1.0)[:2], reference_lem_cubic(pa), label)
+        row = {k: values[i] for k, values in cor.items()}
+        assert_agree((row, cor_vac), reference_cor_wzory(pa), label)
+        row = {k: values[i] for k, values in cubic.items()}
+        assert_agree((row, cubic_vac), reference_lem_cubic(pa), label)
         got = float(np.max(np.abs(operational[i])))
         want = 0.0 if pa.pd.n == 0 else reference_operational_defect(pa.pd, pa.ind)
         assert abs(got - want) <= TOL, (label, got, want)

@@ -289,6 +289,11 @@ def test_degenerate_h_skips_only_the_batteries_that_invert_it():
     h = batch.ind.h.copy()
     h[1] = np.diag([1.0, 1e-6, -1e-6])
     bad = replace(batch, ind=replace(batch.ind, h=h))
+    # Every body is pure: the degenerate h is a skip of run_suite, never a
+    # failure a body writes into the analysis record.
+    for theorem_id, (body, *_) in theorems._BATTERIES.items():
+        body(bad)
+        assert list(bad.pd.faults) == [None] * 3, theorem_id
     # THM_EQUIV first: PROP_NORMAL then reads the normality it cached.
     for suite in ("THM_EQUIV", "PROP_NORMAL", "THM_QUADRIC_CONV"):
         got = run_suite(scene, suite, analyses=bad).per_sample
@@ -302,6 +307,26 @@ def test_degenerate_h_skips_only_the_batteries_that_invert_it():
         for i in (0, 2):
             assert got[i].identities == want[i].identities, (suite, i)
     assert not any(s.skipped for s in run_suite(scene, "METRIC", analyses=bad).per_sample)
+
+
+@pytest.mark.parametrize("theorem_id", list(theorems._BATTERIES))
+def test_score_calls_per_suite_do_not_grow_with_samples(theorem_id, monkeypatch):
+    calls = []
+    real = theorems._score
+
+    def counted(residuals, tol):
+        calls.append(list(residuals))
+        return real(residuals, tol)
+
+    monkeypatch.setattr(theorems, "_score", counted)
+    scene = quadric_scene(random_quadric_spec(1, 98), seed=98, num_samples=6)
+    counts = []
+    for samples in (scene.samples[:2], scene.samples):
+        calls.clear()
+        report = run_suite(replace(scene, samples=samples), theorem_id)
+        assert report.status == "passed" and len(report.per_sample) == len(samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 def test_metric_suite_fails_on_perturbed_scene():
@@ -348,48 +373,53 @@ def test_monotone_metric_residual_in_epsilon():
 
 
 def test_score_reduces_residuals_to_python_values():
+    # Two samples, the sample axis in front of every residual.
     residuals = {
-        "signed": np.array([[0.5, -2.0], [1.0, 0.0]]),
-        "float": -0.25,
-        "numpy_scalar": np.float64(-0.75),
-        "empty": np.zeros((0, 3)),
-        "info_z0_norm": np.array([-7.0]),
+        "signed": np.array([[[0.5, -2.0], [1.0, 0.0]], [[0.0, 0.125], [-0.5, 0.0]]]),
+        "scalar": np.array([-0.25, 0.0]),
+        "column": np.array([[-0.75], [0.5]]),
+        "empty": np.zeros((2, 0, 3)),
+        "info_z0_norm": np.array([[-7.0], [0.0]]),
     }
     ids, vacuous, worst, ok = theorems._score(residuals, 1.0)
     assert ids == {
-        "signed": 2.0, "float": 0.25, "numpy_scalar": 0.75, "empty": 0.0,
-        "info_z0_norm": 7.0,
+        "signed": [2.0, 0.5], "scalar": [0.25, 0.0], "column": [0.75, 0.5],
+        "empty": [0.0, 0.0], "info_z0_norm": [7.0, 0.0],
     }
-    assert all(type(v) is float for v in ids.values())
+    assert all(type(v) is float for values in ids.values() for v in values)
     assert vacuous == ["empty"]
-    assert worst == 2.0 and type(worst) is float
-    assert ok is False
+    assert worst == [2.0, 0.5] and all(type(w) is float for w in worst)
+    assert ok == [False, True]
     # The informational 7.0 counts neither in worst nor against the tolerance.
-    assert theorems._score(residuals, 3.0)[2:] == (2.0, True)
-    assert type(theorems._score(residuals, 3.0)[3]) is bool
+    assert theorems._score(residuals, 3.0)[2:] == ([2.0, 0.5], [True, True])
+    assert all(type(v) is bool for v in theorems._score(residuals, 3.0)[3])
     # Per-identity tolerances are looked up only for counted identities.
-    limits = {"signed": 2.5, "float": 0.1, "numpy_scalar": 1.0}
-    assert theorems._score(residuals, limits)[3] is False
+    limits = {"signed": 2.5, "scalar": 0.1, "column": 1.0}
+    assert theorems._score(residuals, limits)[3] == [False, True]
     outcome = theorems.SampleOutcome(
-        index=0, identities=ids, max_residual=worst, passed=ok,
-        vacuous_identities=vacuous,
+        index=0, identities={k: v[0] for k, v in ids.items()}, max_residual=worst[0],
+        passed=ok[0], vacuous_identities=vacuous,
     )
     assert json.loads(json.dumps(outcome.to_dict()))["passed"] is False
 
 
 def test_score_fails_nan_and_shows_it_in_worst():
     nan = float("nan")
-    for residual in (np.array([nan]), nan, np.float64(nan)):
+    for residual in (np.array([nan]), np.array([[nan]]), np.full((1, 2, 2), nan)):
         ids, vacuous, worst, ok = theorems._score({"x": residual}, 1e-8)
-        assert np.isnan(ids["x"]) and np.isnan(worst)
-        assert vacuous == [] and ok is False
+        assert np.isnan(ids["x"][0]) and np.isnan(worst[0])
+        assert vacuous == [] and ok == [False]
     # A NaN shows in worst wherever it sits among finite residuals, and fails
-    # under a per-identity tolerance too.
-    for residuals in ({"a": np.array([1.0, nan]), "b": 0.5}, {"b": 0.5, "a": nan}):
+    # under a per-identity tolerance too; only its own sample.
+    a = np.array([[1.0, nan], [1.0, 2.0]])
+    b = np.array([0.5, 0.5])
+    for residuals in ({"a": a, "b": b}, {"b": b, "a": a}):
         _, _, worst, ok = theorems._score(residuals, {"a": 10.0, "b": 10.0})
-        assert np.isnan(worst) and ok is False
+        assert np.isnan(worst[0]) and ok[0] is False
+        assert worst[1] == 2.0 and ok[1] is True
     # Informational identities still never count.
-    assert theorems._score({"info_z0_norm": nan, "x": 0.5}, 1.0)[2:] == (0.5, True)
+    residuals = {"info_z0_norm": np.array([nan]), "x": np.array([0.5])}
+    assert theorems._score(residuals, 1.0)[2:] == ([0.5], [True])
 
 
 def test_nan_gate_residuals_skip_and_nan_residuals_fail(monkeypatch):
