@@ -390,7 +390,9 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
     ``(..., ambient_dim, ncoeff)`` for a ``(..., m)`` stack of points.  The
     coefficients of degree <= 1 do not depend on ``order``.  A point outside
     the radial chart raises ChartLeak; ``induced_data`` keeps such points of
-    a stack out beforehand.
+    a stack out beforehand.  A perturbed scene's ``params["epsilon"]`` is a
+    scalar or one value per point of the stack (shape ``u.shape[:-1]``), so
+    one call can evaluate ``C = x + eps W`` at several epsilons.
     """
     u = np.asarray(u, dtype=float)
     for fault in _chart_faults(scene, u).flat:
@@ -415,7 +417,7 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
         f = space.mul(y, space.inv(space.sqrt(q))[..., None, :])
         if scene.family == "quadric_radial":
             return f, f.copy()
-        eps = scene.params["epsilon"]
+        eps = np.asarray(scene.params["epsilon"])[..., None, None]
         w = scene.params["direction"]
         aw = spec.A @ w
         ajw = spec.A @ apply_J(w)
