@@ -33,10 +33,11 @@ KEYS = (
 
 
 def battery_table(report):
-    worst = {k: 0.0 for k in KEYS}
-    for s in report.per_sample:
-        for k in KEYS:
-            worst[k] = max(worst[k], abs(s.identities[k]))
+    # One column per identity, one value per sample (None where skipped).
+    worst = {
+        k: max((abs(v) for v in report.identities[k] if v is not None), default=0.0)
+        for k in KEYS
+    }
     for k in KEYS:
         print(f"    {k:<20} {worst[k]:>12.3e}")
 
@@ -48,8 +49,8 @@ for n, seed in [(0, 3), (1, 7), (2, 11)]:
     print(f"\nn = {n}, seed = {seed}: ambient dim {spec.ambient_dim}, "
           f"|det A| = {abs(np.linalg.det(spec.A)):.3f}, "
           f"anticommutator residual {np.abs(anticommutator_residual(spec.A)).max():.1e}")
-    print(f"  battery: {report.status.upper()} over {len(report.per_sample)} samples, "
-          f"signature {report.per_sample[0].extras['signature']}")
+    print(f"  battery: {report.status.upper()} over {len(report.skip_reasons)} samples, "
+          f"signature {report.signatures[0]}")
     battery_table(report)
 
 print("\n== a sphere-style matrix for contrast " + "=" * 26)
@@ -58,6 +59,6 @@ bad.A = np.eye(4)  # bypass the block constructor: x'x = 1
 report = verify_quadric_converse(bad, num_samples=10, seed=5)
 print(f"A = I (anticommutator residual {np.abs(anticommutator_residual(bad.A)).max():.0f}): "
       f"battery -> {report.status.upper()}")
-worst_tangency = max(s.identities["j_tangency"] for s in report.per_sample)
+worst_tangency = max(report.identities["j_tangency"])
 print(f"worst J-tangency residual of C = x: {worst_tangency:.3f} "
       "(the position field is no longer J-tangent)")

@@ -56,7 +56,6 @@ from .paracomplex import (
     QuadricSpec,
     anticommutator_residual,
     apply_J,
-    j_matrix,
     random_quadric_spec,
 )
 from .paracontact import (

@@ -129,7 +129,7 @@ def load_scene_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SceneFileError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise SceneFileError(f"{path}: top level must be an object")
@@ -246,22 +246,21 @@ def _build_scene(family, n, params, common) -> ImmersionScene:
 # verification runs
 
 
-def _identity_max(per_sample: list, name: str, default: float) -> float:
-    """Max of one identity over the scored rows of a suite report's
-    ``per_sample`` list (a NaN shows), or ``default`` when every row was
-    skipped."""
-    values = [s["identities"][name] for s in per_sample if not s["skipped"]]
+def _scored_max(report, name: str, default: float, block=slice(None)) -> float:
+    """Max of one identity of a suite report over the scored samples in
+    ``block`` (a NaN shows), or ``default`` when there are none."""
+    values = [v for v in report.identities.get(name, [])[block] if v is not None]
     return float(np.max(values)) if values else default
 
 
 def run_verification(scene: ImmersionScene, suites, diagnostic=False, timing=True):
     """Run the engine self-test (the ENGINE battery) and the selected suites;
-    returns (report dict, exit code)."""
+    returns (report dict, exit code).  The report's ``suites`` are the
+    ``TheoremReport`` objects; ``cmd_verify`` serializes them."""
     analyses = analyze_scene(scene)
     total = len(scene.samples)
     engine_report = run_suite(scene, "ENGINE", analyses=analyses)
-    engine_rows = engine_report.to_dict()["per_sample"]
-    engine = {k: _identity_max(engine_rows, k, math.inf) for k in _ENGINE_IDENTITIES}
+    engine = {k: _scored_max(engine_report, k, math.inf) for k in _ENGINE_IDENTITIES}
     engine["tolerance"] = engine_report.tolerance
     engine["passed"] = engine_report.status == "passed"
     degenerate = set(engine_report.degenerate_indices())
@@ -289,7 +288,7 @@ def run_verification(scene: ImmersionScene, suites, diagnostic=False, timing=Tru
         "version": REPORT_VERSION,
         "diagnostic": diagnostic,
         "engine_self_test": engine,
-        "suites": {k: v.to_dict() for k, v in suite_reports.items()},
+        "suites": suite_reports,
         "samples": {
             "total": total,
             "degenerate": len(degenerate),
@@ -317,10 +316,9 @@ def _print_summary(scene, report):
     maxima = "  ".join(f"{k} {e[k]:.2e}" for k in _ENGINE_IDENTITIES)
     print(f"engine self-test: {maxima}  [{'PASS' if e['passed'] else 'FAIL'}]")
     for name, rep in report["suites"].items():
-        status = rep["status"].upper()
         print(
-            f"{name:<16} max {rep['max_residual']:.2e}  "
-            f"skips {rep['num_skipped']:>2}  [{status}]"
+            f"{name:<16} max {rep.max_residual:.2e}  "
+            f"skips {rep.num_skipped:>2}  [{rep.status.upper()}]"
         )
     print(f"overall: {report['overall'].upper()}")
 
@@ -337,6 +335,7 @@ def cmd_verify(path, json_path=None, diagnostic=False, no_timing=False) -> int:
     report["scene"] = raw["scene"]
     _print_summary(scene, report)
     if json_path:
+        report["suites"] = {k: v.to_dict() for k, v in report["suites"].items()}
         with open(json_path, "w", encoding="utf-8") as fh:
             # Without ``indent``, json takes its C encoder.
             fh.write(json.dumps(report, sort_keys=True) + "\n")
@@ -422,21 +421,19 @@ def cmd_sweep(path, values=()) -> int:
     report, _ = run_verification(
         swept, ["METRIC", "THM_STAU"], diagnostic=True, timing=False
     )
-    metric_rows = report["suites"]["METRIC"]["per_sample"]
-    stau_rows = report["suites"]["THM_STAU"]["per_sample"]
+    metric_report, stau_report = report["suites"]["METRIC"], report["suites"]["THM_STAU"]
 
     print(f"{'epsilon':>10}  {'metric':>12}  {'s_plus_id':>12}  {'tau':>12}")
     worst_code = EXIT_PASS
     for e, eps in enumerate(values):
         block = slice(e * num, (e + 1) * num)
-        metric_block, stau_block = metric_rows[block], stau_rows[block]
         # With the gates off, a skipped row is one whose analysis failed.
-        skipped = sum(a["skipped"] or b["skipped"] for a, b in zip(metric_block, stau_block))
-        if skipped / num > MAX_SKIP_FRACTION:
+        reasons = zip(metric_report.skip_reasons[block], stau_report.skip_reasons[block])
+        if sum(a is not None or b is not None for a, b in reasons) / num > MAX_SKIP_FRACTION:
             worst_code = EXIT_DEGENERATE
-        metric = _identity_max(metric_block, "metric", math.nan)
-        s_plus = _identity_max(stau_block, "s_plus_id", math.nan)
-        tau = _identity_max(stau_block, "tau_norm", math.nan)
+        metric = _scored_max(metric_report, "metric", math.nan, block)
+        s_plus = _scored_max(stau_report, "s_plus_id", math.nan, block)
+        tau = _scored_max(stau_report, "tau_norm", math.nan, block)
         print(f"{eps:>10.4g}  {metric:>12.4e}  {s_plus:>12.4e}  {tau:>12.4e}")
     return worst_code
 

@@ -106,22 +106,21 @@ class Polynomial:
     def eval_jets(self, space: JetSpace, seeds: np.ndarray) -> np.ndarray:
         """The polynomial as a jet, from the coordinate jets ``(..., num_vars,
         ncoeff)`` of one chart point or of a stack of them."""
-        max_pow = [0] * self.num_vars
-        for alpha, _ in self.terms:
-            for i, a in enumerate(alpha):
-                max_pow[i] = max(max_pow[i], a)
-        powers = []
-        for i in range(self.num_vars):
-            p = [space.const(1.0)]
-            for _ in range(max_pow[i]):
-                p.append(space.mul(p[-1], seeds[..., i, :]))
-            powers.append(p)
+        powers = {}  # (variable, exponent) -> jet, each computed once
         out = np.zeros(seeds.shape[:-2] + (space.ncoeff,))
         for alpha, c in self.terms:
             term = space.const(c)
             for i, a in enumerate(alpha):
+                if a and (i, a) not in powers:
+                    # Square-and-multiply from the leading bit down.
+                    u = p = seeds[..., i, :]
+                    for bit in bin(a)[3:]:
+                        p = space.mul(p, p)
+                        if bit == "1":
+                            p = space.mul(p, u)
+                    powers[i, a] = p
                 if a:
-                    term = space.mul(term, powers[i][a])
+                    term = space.mul(term, powers[i, a])
             out += term
         return out
 

@@ -41,25 +41,13 @@ def apply_J(v: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.concatenate([v[at + (slice(half, None),)], v[at + (slice(None, half),)]], axis=axis)
 
 
-def j_matrix(dim: int) -> np.ndarray:
-    """The half-swap as a (dim x dim) permutation matrix."""
-    if dim % 2 != 0 or dim <= 0:
-        raise ShapeError(f"half-swap needs even positive dimension, got {dim}")
-    half = dim // 2
-    out = np.zeros((dim, dim))
-    out[:half, half:] = np.eye(half)
-    out[half:, :half] = np.eye(half)
-    return out
-
-
 def anticommutator_residual(a: np.ndarray) -> np.ndarray:
     """J A + A J, the raw residual matrix; zero exactly for block matrices
     [[P,R],[-R,-P]]."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    j = j_matrix(a.shape[0])
-    return j @ a + a @ j
+    return apply_J(a, 0) + apply_J(a, 1)
 
 
 @dataclass

@@ -44,7 +44,10 @@ enforced as numeric gates at the scene's theorem tolerance; diagnostic mode
 disables the gates so negative behaviour can be measured.  A row that inverts
 h names the least n at which it does, and from there ``run_suite`` skips each
 sample whose h ``h_is_degenerate``.  Analysis failures, gate skips and
-degeneracy skips are reported per sample and never silently dropped.
+degeneracy skips are reported per sample and never silently dropped: a
+``TheoremReport`` keeps ``_score``'s per-sample columns, with None in every
+column but ``skip_reasons`` where a sample was skipped, and its ``to_dict``
+alone writes the report's per-sample rows.
 """
 
 from __future__ import annotations
@@ -162,38 +165,21 @@ def analyze_scene(scene: ImmersionScene) -> PointAnalysis | None:
 
 
 @dataclass
-class SampleOutcome:
-    index: int
-    identities: dict
-    extras: dict = field(default_factory=dict)
-    max_residual: float = 0.0
-    passed: bool = True
-    skipped: bool = False
-    skip_reason: str | None = None
-    vacuous: bool = False
-    vacuous_identities: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "identities": {k: float(v) for k, v in self.identities.items()},
-            "extras": self.extras,
-            "max_residual": float(self.max_residual),
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "skip_reason": self.skip_reason,
-            "vacuous": self.vacuous,
-            "vacuous_identities": list(self.vacuous_identities),
-        }
-
-
-@dataclass
 class TheoremReport:
+    """One battery over a scene's samples, as columns with one entry per
+    sample (``identities`` holds one per identity); ``signatures`` is kept
+    for THM_QUADRIC_CONV only."""
+
     theorem_id: str
     tolerance: object
-    per_sample: list
     status: str  # passed | failed | skipped | vacuous
-    gate: str | None = None
+    gate: str | None
+    skip_reasons: list
+    identities: dict = field(default_factory=dict)
+    worst: list = field(default_factory=list)
+    ok: list = field(default_factory=list)
+    vacuous_identities: list = field(default_factory=list)
+    signatures: list | None = None
 
     @property
     def passed(self) -> bool:
@@ -201,21 +187,38 @@ class TheoremReport:
 
     @property
     def num_skipped(self) -> int:
-        return sum(1 for s in self.per_sample if s.skipped)
+        return sum(r is not None for r in self.skip_reasons)
 
     @property
     def max_residual(self) -> float:
-        vals = [s.max_residual for s in self.per_sample if not s.skipped]
+        vals = [w for w in self.worst if w is not None]
         return float(np.max(vals, initial=0.0))  # unlike max, lets a NaN show
 
     def degenerate_indices(self) -> list:
         return [
-            s.index
-            for s in self.per_sample
-            if s.skipped and (s.skip_reason or "").startswith("degenerate")
+            idx
+            for idx, reason in enumerate(self.skip_reasons)
+            if reason is not None and reason.startswith("degenerate")
         ]
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready values, one ``per_sample`` row per sample
+        (report version 1)."""
+        rows = []
+        for idx, reason in enumerate(self.skip_reasons):
+            scored = reason is None
+            rows.append({
+                "index": idx,
+                "identities": {k: v[idx] for k, v in self.identities.items()} if scored else {},
+                "extras": {"signature": self.signatures[idx]} if scored and self.signatures else {},
+                "max_residual": self.worst[idx] if scored else 0.0,
+                "passed": self.ok[idx] if scored else False,
+                "skipped": not scored,
+                "skip_reason": reason,
+                # Every scored sample is vacuous exactly when the suite is.
+                "vacuous": scored and self.status == "vacuous",
+                "vacuous_identities": list(self.vacuous_identities) if scored else [],
+            })
         return {
             "theorem_id": self.theorem_id,
             "tolerance": self.tolerance,
@@ -223,7 +226,7 @@ class TheoremReport:
             "gate": self.gate,
             "max_residual": self.max_residual,
             "num_skipped": self.num_skipped,
-            "per_sample": [s.to_dict() for s in self.per_sample],
+            "per_sample": rows,
         }
 
 
@@ -497,7 +500,7 @@ def run_suite(
     tol = dict(tolerances) if isinstance(tolerances, dict) else float(scene.tolerances[tolerances])
     batch = analyze_scene(scene) if analyses is None else analyses
     if batch is None:
-        return TheoremReport(theorem_id, tol, [], "skipped", gate)
+        return TheoremReport(theorem_id, tol, "skipped", gate, [])
 
     reasons = [
         None if fault is None else f"degenerate: {type(fault).__name__}: {fault}"
@@ -515,63 +518,35 @@ def run_suite(
             if reasons[idx] is None:
                 reasons[idx] = f"degenerate: {degenerate_metric(batch.ind.h[idx])}"
 
-    if None in reasons:
-        residuals = body(batch)
-        ids, vac, worst, ok = _score(residuals, tol)
-        if theorem_id == "PROP_NORMAL":
-            # The proposition is an equivalence: both residuals must sit on
-            # the same side of the tolerance, and a NaN sits on neither.
-            nij, op = (_score({k: residuals[k]}, tol)[3] for k in ("nijenhuis", "operational"))
-            ok = [a == b and not math.isnan(w) for a, b, w in zip(nij, op, worst)]
-        all_vacuous = bool(vac) and all(k in vac or k in _INFORMATIONAL for k in ids)
-
-    outcomes = []
-    for idx, reason in enumerate(reasons):
-        if reason is not None:
-            outcomes.append(
-                SampleOutcome(
-                    index=idx,
-                    identities={},
-                    passed=False,
-                    skipped=True,
-                    skip_reason=reason,
-                )
-            )
-            continue
-        outcomes.append(
-            SampleOutcome(
-                index=idx,
-                identities={k: v[idx] for k, v in ids.items()},
-                extras=(
-                    {"signature": batch.signature[idx].tolist()}
-                    if theorem_id == "THM_QUADRIC_CONV"
-                    else {}
-                ),
-                max_residual=worst[idx],
-                passed=ok[idx],
-                vacuous=all_vacuous,
-                vacuous_identities=vac,
-            )
-        )
-
-    return TheoremReport(
-        theorem_id=theorem_id,
-        tolerance=tol,
-        per_sample=outcomes,
-        status=_suite_status(outcomes),
-        gate=gate,
-    )
+    report = TheoremReport(theorem_id, tol, "skipped", gate, reasons)
+    if None not in reasons:
+        report.worst, report.ok = [None] * len(reasons), [None] * len(reasons)
+        return report
+    ids, report.vacuous_identities, worst, ok = _score(body(batch), tol)
+    if theorem_id == "PROP_NORMAL":
+        # The proposition is an equivalence: both residuals must sit on the
+        # same side of the tolerance, and a NaN sits on neither.
+        ok = [
+            (a <= tol) == (b <= tol) and not math.isnan(w)
+            for a, b, w in zip(ids["nijenhuis"], ids["operational"], worst)
+        ]
+    report.identities = {k: _scored(v, reasons) for k, v in ids.items()}
+    report.worst, report.ok = _scored(worst, reasons), _scored(ok, reasons)
+    if theorem_id == "THM_QUADRIC_CONV":
+        report.signatures = _scored(batch.signature.tolist(), reasons)
+    vac = report.vacuous_identities
+    if False in report.ok:
+        report.status = "failed"
+    elif vac and all(k in vac or k in _INFORMATIONAL for k in ids):
+        report.status = "vacuous"
+    else:
+        report.status = "passed"
+    return report
 
 
-def _suite_status(outcomes) -> str:
-    active = [o for o in outcomes if not o.skipped]
-    if not active:
-        return "skipped"
-    if any(not o.passed for o in active):
-        return "failed"
-    if all(o.vacuous for o in active):
-        return "vacuous"
-    return "passed"
+def _scored(values: list, reasons: list) -> list:
+    """``values`` with None in place of every skipped sample's entry."""
+    return [v if r is None else None for v, r in zip(values, reasons)]
 
 
 def verify_quadric_converse(

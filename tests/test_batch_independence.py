@@ -136,7 +136,7 @@ def test_failed_samples_keep_their_message_and_spare_their_neighbours():
     assert describe(batch.pd.faults[1]) == "ChartLeak: quadric value -3 <= 0 at chart point"
     assert describe(batch.pd.faults[3]) == "DegenerateFrame: frame condition number 1e+10"
     report = run_suite(scene, "METRIC")
-    assert [s.skip_reason for s in report.per_sample] == [
+    assert report.skip_reasons == [
         None,
         "degenerate: ChartLeak: quadric value -3 <= 0 at chart point",
         None,
@@ -151,11 +151,12 @@ def test_failed_samples_keep_their_message_and_spare_their_neighbours():
     # warning; they skip with the same reasons and change no neighbour.
     clean_scene = with_samples(scene, good)
     for theorem_id in theorems._BATTERIES:
-        got = run_suite(scene, theorem_id, diagnostic=True, analyses=batch).per_sample
-        want = run_suite(clean_scene, theorem_id, diagnostic=True, analyses=clean).per_sample
-        assert [s.skip_reason for s in got[1::2]] == [r.skip_reason for r in report.per_sample[1::2]]
+        got = run_suite(scene, theorem_id, diagnostic=True, analyses=batch)
+        want = run_suite(clean_scene, theorem_id, diagnostic=True, analyses=clean)
+        assert got.skip_reasons[1::2] == report.skip_reasons[1::2]
         for j, i in enumerate([0, 2, 4]):
-            ids, ref = got[i].identities, want[j].identities
+            ids = {k: v[i] for k, v in got.identities.items()}
+            ref = {k: v[j] for k, v in want.identities.items()}
             assert list(ids) == list(ref), (theorem_id, i)
             assert all(abs(ids[k] - ref[k]) <= TOL for k in ids), (theorem_id, i)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -226,6 +227,35 @@ def test_huge_sample_box_exits_2_naming_the_box(tmp_path, capsys, box):
         assert main(["verify", write_scene(tmp_path, data)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err == "error: $.scene.sample_box: no admissible sample points found in the chart box\n"
+
+
+@pytest.mark.parametrize("command", [["verify"], ["sweep", "--values", "0.1"]])
+def test_non_utf8_scene_file_exits_2_naming_the_path(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"version": 1}')
+    code = main([command[0], str(path), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_scene_polynomial_cost_does_not_grow_with_its_exponent(tmp_path, capsys):
+    # A one-term n = 0 graph u^e: its jet takes about 2 log2(e) products.
+    codes = []
+    for e in (1000, 10**9):
+        data = {
+            "version": 1,
+            "scene": {"family": "explicit_graph", "n": 0,
+                      "params": {"graph": {"terms": [[[e], 1.0]]}}},
+        }
+        path = write_scene(tmp_path, data, name=f"power_{e}.json")
+        t0 = time.perf_counter()
+        codes.append(main(["verify", path]))
+        elapsed = time.perf_counter() - t0
+    capsys.readouterr()
+    assert elapsed < 2.0
+    assert codes[0] == codes[1]
 
 
 def test_malformed_bases_are_valid(tmp_path):

@@ -193,6 +193,23 @@ def test_quadric_shape_operator_is_minus_identity():
         np.testing.assert_allclose(ind.tau, 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6, 7, 8, 13, 32])
+def test_polynomial_powers_match_repeated_products(a):
+    # Square-and-multiply against u^a built one factor at a time, on a stack
+    # of points, in a term that mixes the power with another variable.
+    space = jet_space(3)
+    seeds = space.seeds(np.array([[0.3, -0.7, 1.1], [-0.9, 0.2, 0.5]]))
+    power = space.const(1.0)
+    for _ in range(a):
+        power = space.mul(power, seeds[..., 1, :])
+    want = space.mul(space.mul(space.const(2.5), power), seeds[..., 2, :])
+    got = Polynomial(3, [((0, a, 1), 2.5)]).eval_jets(space, seeds)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    if a <= 3:
+        # Up to the cube the two product chains coincide.
+        assert np.array_equal(got, want)
+
+
 def test_graph_h_is_hessian_and_degeneracy_reported():
     # f(u,v,w) = (u,v,w, u^2 - v^2), C = e4: h = diag(2,-2,0), Gamma = 0.
     g = Polynomial(3, [((2, 0, 0), 1.0), ((0, 2, 0), -1.0)])

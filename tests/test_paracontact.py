@@ -435,7 +435,7 @@ def test_structure_report_degenerate_h_flag():
     # The battery that needs h^{-1} skips the sample instead of failing it.
     report = run_suite(scene, "THM_EQUIV", diagnostic=True)
     assert report.status == "skipped"
-    assert report.per_sample[0].skip_reason.startswith("degenerate:")
+    assert report.skip_reasons[0].startswith("degenerate:")
 
 
 @pytest.mark.parametrize("small, degenerate", [(1e-6, True), (1e-3, False)])

@@ -42,8 +42,8 @@ def sweep(capsys, path, values):
 
 def scored_max(report, suite, name):
     """Max of one identity over a suite's unskipped samples, nan if none."""
-    rows = report["suites"][suite]["per_sample"]
-    scored = [s["identities"][name] for s in rows if not s["skipped"]]
+    column = report["suites"][suite].identities.get(name, [])
+    scored = [v for v in column if v is not None]
     return float(np.max(scored)) if scored else math.nan
 
 

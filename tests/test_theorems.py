@@ -33,13 +33,18 @@ def fixed_n1_spec():
     return QuadricSpec(n=1, P=np.eye(2), R_skew=np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+def row(report, idx):
+    """One sample's identity values in a suite report's columns."""
+    return {k: v[idx] for k, v in report.identities.items()}
+
+
 def identities(scene, theorem_id, diagnostic=False):
     """Per-sample identity dicts of one battery; every sample must have been
     evaluated (neither gated nor degenerate)."""
     report = run_suite(scene, theorem_id, diagnostic=diagnostic)
-    for s in report.per_sample:
-        assert not s.skipped, (theorem_id, s.index, s.skip_reason)
-    return [s.identities for s in report.per_sample]
+    for idx, reason in enumerate(report.skip_reasons):
+        assert reason is None, (theorem_id, idx, reason)
+    return [row(report, idx) for idx in range(len(report.skip_reasons))]
 
 
 # ----------------------------------------------------------------------
@@ -81,9 +86,9 @@ def test_tw_wzory_hyperbola_eta_shape_reads_minus_one():
 
 def test_tw_wzory_gated_on_non_tangent_scene():
     scene = random_graph_scene(1, seed=85, num_samples=3)
-    gated = run_suite(scene, "TW_WZORY").per_sample[0]
-    assert gated.skipped
-    assert gated.skip_reason.startswith("gate: transversal not J-tangent")
+    gated = run_suite(scene, "TW_WZORY").skip_reasons[0]
+    assert gated is not None
+    assert gated.startswith("gate: transversal not J-tangent")
     ids = identities(scene, "TW_WZORY", diagnostic=True)[0]
     assert set(ids) == {
         "eta_nabla",
@@ -135,7 +140,7 @@ def test_cor_wzory_vacuous_at_n0():
     report = run_suite(scene, "COR_WZORY")
     assert report.status == "vacuous"
     assert report.passed
-    assert report.per_sample[0].vacuous
+    assert report.to_dict()["per_sample"][0]["vacuous"]
 
 
 # ----------------------------------------------------------------------
@@ -163,9 +168,9 @@ def test_lem_est_gate_on_perturbed_scene():
     scene = perturbed_scene(random_quadric_spec(1, 91), epsilon=0.1, seed=91,
                             num_samples=3)
     report = run_suite(scene, "LEM_EST")
-    assert report.per_sample[0].skip_reason.startswith("gate: structure not metric")
+    assert report.skip_reasons[0].startswith("gate: structure not metric")
     assert report.status == "skipped"
-    assert all(s.skip_reason.startswith("gate:") for s in report.per_sample)
+    assert all(r.startswith("gate:") for r in report.skip_reasons)
 
 
 def test_lem_cubic_on_quadrics():
@@ -206,8 +211,8 @@ def test_thm_stau_perturbed_diagnostic_mode():
     spec = random_quadric_spec(1, 95)
     scene = perturbed_scene(spec, epsilon=0.1, seed=95, num_samples=8)
     gated = run_suite(scene, "THM_STAU")
-    for s in gated.per_sample:
-        assert s.skip_reason.startswith("gate: structure not metric")
+    for reason in gated.skip_reasons:
+        assert reason.startswith("gate: structure not metric")
     hits = 0
     for ids in identities(scene, "THM_STAU", diagnostic=True):
         if ids["s_plus_id"] > 1e-2:
@@ -272,13 +277,13 @@ def test_degenerate_h_skips_only_the_batteries_that_invert_it():
     # METRIC does.
     scene = graph_scene(Polynomial(1, [((3,), 1.0)]), samples=[[0.0], [0.5]])
     equiv = run_suite(scene, "THM_EQUIV", diagnostic=True)
-    assert [s.skip_reason for s in equiv.per_sample] == [
+    assert equiv.skip_reasons == [
         "degenerate: h determinant 0 below floor",
         None,
     ]
     for suite in ("PROP_NORMAL", "METRIC"):
         report = run_suite(scene, suite, diagnostic=True)
-        assert not any(s.skipped for s in report.per_sample), suite
+        assert report.num_skipped == 0, suite
     assert run_suite(scene, "PROP_NORMAL", diagnostic=True).status == "passed"
 
     # n = 1: one sample's h made degenerate (|det h| / max|h|^3 = 1e-12)
@@ -296,17 +301,17 @@ def test_degenerate_h_skips_only_the_batteries_that_invert_it():
         assert list(bad.pd.faults) == [None] * 3, theorem_id
     # THM_EQUIV first: PROP_NORMAL then reads the normality it cached.
     for suite in ("THM_EQUIV", "PROP_NORMAL", "THM_QUADRIC_CONV"):
-        got = run_suite(scene, suite, analyses=bad).per_sample
-        want = run_suite(scene, suite, analyses=batch).per_sample
-        assert [s.skip_reason for s in got] == [
+        got = run_suite(scene, suite, analyses=bad)
+        want = run_suite(scene, suite, analyses=batch)
+        assert got.skip_reasons == [
             None,
             "degenerate: h determinant -1e-12 below floor",
             None,
         ], suite
-        assert not any(s.skipped for s in want), suite
+        assert want.num_skipped == 0, suite
         for i in (0, 2):
-            assert got[i].identities == want[i].identities, (suite, i)
-    assert not any(s.skipped for s in run_suite(scene, "METRIC", analyses=bad).per_sample)
+            assert row(got, i) == row(want, i), (suite, i)
+    assert run_suite(scene, "METRIC", analyses=bad).num_skipped == 0
 
 
 @pytest.mark.parametrize("theorem_id", list(theorems._BATTERIES))
@@ -324,7 +329,7 @@ def test_score_calls_per_suite_do_not_grow_with_samples(theorem_id, monkeypatch)
     for samples in (scene.samples[:2], scene.samples):
         calls.clear()
         report = run_suite(replace(scene, samples=samples), theorem_id)
-        assert report.status == "passed" and len(report.per_sample) == len(samples)
+        assert report.status == "passed" and len(report.skip_reasons) == len(samples)
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
 
@@ -345,11 +350,11 @@ def test_prop_normal_consistency_on_perturbed_scene():
     scene = perturbed_scene(random_quadric_spec(1, 100), epsilon=0.1, seed=100,
                             num_samples=6)
     report = run_suite(scene, "PROP_NORMAL")
-    for s in report.per_sample:
-        if s.skipped:
+    for i, reason in enumerate(report.skip_reasons):
+        if reason is not None:
             continue
-        assert (s.identities["nijenhuis"] > 1e-6) == (
-            s.identities["operational"] > 1e-6
+        assert (report.identities["nijenhuis"][i] > 1e-6) == (
+            report.identities["operational"][i] > 1e-6
         )
 
 
@@ -396,11 +401,47 @@ def test_score_reduces_residuals_to_python_values():
     # Per-identity tolerances are looked up only for counted identities.
     limits = {"signed": 2.5, "scalar": 0.1, "column": 1.0}
     assert theorems._score(residuals, limits)[3] == [False, True]
-    outcome = theorems.SampleOutcome(
-        index=0, identities={k: v[0] for k, v in ids.items()}, max_residual=worst[0],
-        passed=ok[0], vacuous_identities=vacuous,
-    )
-    assert json.loads(json.dumps(outcome.to_dict()))["passed"] is False
+
+
+def test_failing_report_rows_round_trip_as_plain_json():
+    scene = perturbed_scene(random_quadric_spec(1, 99), epsilon=0.1, seed=99,
+                            num_samples=6)
+    d = run_suite(scene, "METRIC").to_dict()
+    assert d["status"] == "failed"
+    assert json.loads(json.dumps(d)) == d
+    assert any(r["passed"] is False for r in d["per_sample"])
+    for r in d["per_sample"]:
+        assert type(r["passed"]) is bool and type(r["max_residual"]) is float
+        assert all(type(v) is float for v in r["identities"].values())
+
+
+def test_skipped_samples_read_none_outside_skip_reasons():
+    # Sample 1's h is degenerate and sample 2 fails the metric gate: THM_EQUIV
+    # skips both, the ungated converse row (which has signatures) sample 1.
+    scene = quadric_scene(random_quadric_spec(1, 130), seed=130, num_samples=3)
+    batch = analyze_scene(scene)
+    h = batch.ind.h.copy()
+    h[1] = np.diag([1.0, 1e-6, -1e-6])
+    metric = batch.metric.copy()
+    metric[2] = 1.0
+    bad = replace(batch, ind=replace(batch.ind, h=h), metric=metric)
+    for suite, skipped in (("THM_EQUIV", [False, True, True]),
+                           ("THM_QUADRIC_CONV", [False, True, False])):
+        report = run_suite(scene, suite, analyses=bad)
+        assert [r is not None for r in report.skip_reasons] == skipped, suite
+        assert report.skip_reasons[1].startswith("degenerate:")
+        columns = [report.worst, report.ok, *report.identities.values()]
+        if suite == "THM_QUADRIC_CONV":
+            columns.append(report.signatures)
+        assert len(columns) > 2
+        for column in columns:
+            assert [v is None for v in column] == skipped, suite
+    assert run_suite(scene, "THM_EQUIV", analyses=bad).skip_reasons[2].startswith("gate:")
+    # With every sample skipped, the body never runs: no identity columns,
+    # and None once per sample in the others.
+    report = run_suite(scene, "THM_STAU", analyses=replace(batch, metric=batch.metric + 1.0))
+    assert report.status == "skipped" and report.identities == {}
+    assert report.worst == report.ok == [None] * 3
 
 
 def test_score_fails_nan_and_shows_it_in_worst():
@@ -435,17 +476,17 @@ def test_nan_gate_residuals_skip_and_nan_residuals_fail(monkeypatch):
 
     report = run_suite(scene, "TW_WZORY", analyses=not_tangent)
     assert report.status == "skipped"
-    assert report.per_sample[0].skip_reason == "gate: transversal not J-tangent (residual nan)"
+    assert report.skip_reasons[0] == "gate: transversal not J-tangent (residual nan)"
     report = run_suite(scene, "LEM_EST", analyses=not_metric)
-    assert report.per_sample[0].skip_reason == "gate: structure not metric (residual nan)"
+    assert report.skip_reasons[0] == "gate: structure not metric (residual nan)"
 
     # Ungated, the NaN fails the sample and shows in both maxima.
     metric = batch.metric.copy()
     metric[1] = nan
     report = run_suite(scene, "METRIC", analyses=replace(batch, metric=metric))
     assert report.status == "failed"
-    assert [s.passed for s in report.per_sample] == [True, False]
-    assert np.isnan(report.per_sample[1].max_residual)
+    assert report.ok == [True, False]
+    assert np.isnan(report.worst[1])
     assert np.isnan(report.max_residual)
 
     # Both normality defects NaN: neither side of the equivalence holds.
@@ -462,11 +503,11 @@ def test_engine_row_is_an_ungated_battery_at_the_engine_tolerance():
     report = run_suite(scene, "ENGINE")
     assert report.status == "passed" and report.gate is None
     assert report.tolerance == 1e-9
-    for u, s in zip(scene.samples, report.per_sample):
-        want = fundamental_residuals(scene, u)
-        assert list(s.identities) == list(want)
+    for i, u in enumerate(scene.samples):
+        ids, want = row(report, i), fundamental_residuals(scene, u)
+        assert list(ids) == list(want)
         for name, residual in want.items():
-            assert s.identities[name] == float(np.max(np.abs(residual)))
+            assert ids[name] == float(np.max(np.abs(residual)))
 
 
 # Identities quantified over ker(eta), which is trivial at n = 0, in body order.
@@ -493,12 +534,13 @@ def test_n0_vacuous_identities(scene):
     analyses = analyze_scene(scene)
     for theorem_id, names in N0_VACUOUS.items():
         report = run_suite(scene, theorem_id, diagnostic=True, analyses=analyses)
-        for s in report.per_sample:
-            assert not s.skipped, (theorem_id, s.skip_reason)
-            assert s.vacuous_identities == names, theorem_id
-            assert all(s.identities[k] == 0.0 for k in names)
-            # LEM_EST keeps two identities that do not quantify over ker(eta).
-            assert s.vacuous == (theorem_id != "LEM_EST")
+        for reason in report.skip_reasons:
+            assert reason is None, (theorem_id, reason)
+        assert report.vacuous_identities == names, theorem_id
+        assert all(v == 0.0 for k in names for v in report.identities[k])
+        # LEM_EST keeps two identities that do not quantify over ker(eta).
+        rows = report.to_dict()["per_sample"]
+        assert [r["vacuous"] for r in rows] == [theorem_id != "LEM_EST"] * len(rows)
 
 
 def test_scene_without_samples_skips_every_suite():
@@ -506,7 +548,7 @@ def test_scene_without_samples_skips_every_suite():
     assert analyze_scene(scene) is None
     for suite in SCENE_SUITES + ("ENGINE", "THM_QUADRIC_CONV"):
         report = run_suite(scene, suite)
-        assert report.status == "skipped" and report.per_sample == [], suite
+        assert report.status == "skipped" and report.skip_reasons == [], suite
     report, code = run_verification(scene, SCENE_SUITES, timing=False)
     assert report["samples"]["total"] == 0
     assert report["overall"] == "degenerate" and code == EXIT_DEGENERATE
@@ -526,9 +568,8 @@ def test_converse_on_fixed_n1_spec():
     report = verify_quadric_converse(fixed_n1_spec(), num_samples=20, seed=7)
     assert report.status == "passed"
     assert report.theorem_id == "THM_QUADRIC_CONV"
-    assert len(report.per_sample) == 20
-    for s in report.per_sample:
-        assert s.extras["signature"] == [2, 1]
+    assert len(report.skip_reasons) == 20
+    assert report.signatures == [[2, 1]] * 20
 
 
 def test_converse_matches_hyperbola_closed_form():
@@ -536,7 +577,8 @@ def test_converse_matches_hyperbola_closed_form():
     report = verify_quadric_converse(spec, num_samples=10, seed=3)
     assert report.status == "passed"
     hyper = hyperbola_scene(seed=3, num_samples=10)
-    for u, s in zip(hyper.samples, report.per_sample):
+    for i, u in enumerate(hyper.samples):
+        ids = row(report, i)
         pa = analyze_point(hyper, u)
         closed_form = {
             "j_tangency": pa.pd.tangency,
@@ -546,7 +588,7 @@ def test_converse_matches_hyperbola_closed_form():
             "cubic_max": float(np.max(np.abs(pa.der.Q))),
         }
         for key, want in closed_form.items():
-            assert abs(s.identities[key] - want) <= 1e-10
+            assert abs(ids[key] - want) <= 1e-10
 
 
 def test_converse_detects_sphere_style_matrix():
@@ -557,8 +599,8 @@ def test_converse_detects_sphere_style_matrix():
     spec.A = bad
     report = verify_quadric_converse(spec, num_samples=5, seed=11)
     assert report.status == "failed"
-    for s in report.per_sample:
-        assert s.identities["j_tangency"] > 1e-3 or s.identities["metric"] > 1e-3
+    for tangency, metric in zip(report.identities["j_tangency"], report.identities["metric"]):
+        assert tangency > 1e-3 or metric > 1e-3
 
 
 def test_converse_is_a_battery_row():
