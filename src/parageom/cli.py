@@ -4,8 +4,9 @@ Three subcommands:
 
 * ``verify <scene.json>``   — run the engine self-test plus the selected
   theorem suites on a scene file; human summary on stdout, full JSON report
-  with ``--json PATH``.  ``--diagnostic`` disables the theorem-hypothesis
-  gates, ``--no-timing`` strips timings for byte-reproducible reports.
+  with ``--json PATH`` (version 2: each suite as its ``TheoremReport``
+  columns).  ``--diagnostic`` disables the theorem-hypothesis gates,
+  ``--no-timing`` strips timings for byte-reproducible reports.
 * ``gen-quadric``           — emit a complete, deterministic quadric scene
   file for (n, seed).
 * ``sweep <scene.json>``    — re-verify a perturbed scene over a list of
@@ -16,8 +17,8 @@ Three subcommands:
   than 10% of its samples, else 0.
 
 Exit codes: 0 all selected suites pass, 1 a suite or the engine self-test
-failed, 2 unreadable/invalid input, 3 numeric degeneracy (more than 10% of
-samples unusable, or no admissible base point).
+failed, 2 unreadable/invalid input or an unwritable output path, 3 numeric
+degeneracy (more than 10% of samples unusable, or no admissible base point).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .paracomplex import QuadricSpec, random_quadric_spec
 from .theorems import SCENE_SUITES, analyze_scene, run_suite
 
 SCENE_VERSION = 1
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 # Fraction of samples that may be lost to numeric degeneracy before the whole
 # run is declared degenerate (exit 3).
 MAX_SKIP_FRACTION = 0.10
@@ -124,6 +125,25 @@ def _polynomial(data, m, path):
         raise SceneFileError(f"{path}: {exc}") from None
 
 
+def _scene_bounds(n, seed, num_samples, box, name):
+    """``(n, seed, num_samples, sample_box)`` checked against the scene-file
+    bounds, with ``name(field)`` in the error; ``gen-quadric`` checks here
+    too, so it writes no file that ``verify`` rejects."""
+    if n < 0:
+        raise SceneFileError(f"{name('n')}: must be >= 0")
+    seed = _number(seed, name("seed"), integer=True)
+    if seed < 0:
+        raise SceneFileError(f"{name('seed')}: must be >= 0")
+    num_samples = _number(num_samples, name("num_samples"), integer=True)
+    if num_samples < 1:
+        raise SceneFileError(f"{name('num_samples')}: must be >= 1")
+    box = _number(box, name("sample_box"))
+    if not 0 < box <= sys.float_info.max / 2:
+        # The box [-box, box] must have a finite width to be sampled.
+        raise SceneFileError(f"{name('sample_box')}: must be in (0, {sys.float_info.max / 2:.6g}]")
+    return n, seed, num_samples, box
+
+
 def load_scene_file(path: str):
     """Parse and validate a scene file; returns (scene, suites, raw dict)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -161,23 +181,13 @@ def load_scene_file(path: str):
 
     sdict = _need(raw, "scene", dict, "$")
     family = _need(sdict, "family", str, "$.scene")
-    n = _need(sdict, "n", int, "$.scene")
-    if n < 0:
-        raise SceneFileError("$.scene.n: must be >= 0")
-    seed = _number(sdict.get("seed", 0), "$.scene.seed", integer=True)
-    if seed < 0:
-        raise SceneFileError("$.scene.seed: must be >= 0")
-    num_samples = _number(
-        sdict.get("num_samples", DEFAULT_NUM_SAMPLES), "$.scene.num_samples", integer=True
+    n, seed, num_samples, box = _scene_bounds(
+        _need(sdict, "n", int, "$.scene"),
+        sdict.get("seed", 0),
+        sdict.get("num_samples", DEFAULT_NUM_SAMPLES),
+        sdict.get("sample_box", DEFAULT_SAMPLE_BOX),
+        "$.scene.{}".format,
     )
-    if num_samples < 1:
-        raise SceneFileError("$.scene.num_samples: must be >= 1")
-    box = _number(sdict.get("sample_box", DEFAULT_SAMPLE_BOX), "$.scene.sample_box")
-    if box <= 0:
-        raise SceneFileError("$.scene.sample_box: must be positive")
-    if box > sys.float_info.max / 2:
-        # The box [-box, box] must have a finite width to be sampled.
-        raise SceneFileError(f"$.scene.sample_box: must be at most {sys.float_info.max / 2:.6g}")
     params = sdict.get("params", {})
     if not isinstance(params, dict):
         raise SceneFileError("$.scene.params: expected an object")
@@ -336,9 +346,13 @@ def cmd_verify(path, json_path=None, diagnostic=False, no_timing=False) -> int:
     _print_summary(scene, report)
     if json_path:
         report["suites"] = {k: v.to_dict() for k, v in report["suites"].items()}
-        with open(json_path, "w", encoding="utf-8") as fh:
-            # Without ``indent``, json takes its C encoder.
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                # Without ``indent``, json takes its C encoder.
+                fh.write(json.dumps(report, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     return code
 
 
@@ -373,8 +387,10 @@ def quadric_scene_dict(n: int, seed: int, num_samples=DEFAULT_NUM_SAMPLES,
 
 def cmd_gen_quadric(n, seed, out, num_samples=DEFAULT_NUM_SAMPLES,
                     sample_box=DEFAULT_SAMPLE_BOX) -> int:
-    if n < 0:
-        print("error: --n must be >= 0", file=sys.stderr)
+    try:
+        _scene_bounds(n, seed, num_samples, sample_box, lambda f: "--" + f.replace("_", "-"))
+    except SceneFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         data = quadric_scene_dict(n, seed, num_samples, sample_box)

@@ -78,8 +78,8 @@ class QuadricSpec:
         self.A = np.block(
             [[self.P, self.R_skew], [-self.R_skew, -self.P]]
         )
-        scale = max(float(np.max(np.abs(self.A))), 1e-30) ** self.A.shape[0]
-        if abs(np.linalg.det(self.A)) <= 1e-9 * scale:
+        scale = np.max(np.abs(self.A))  # relative, so no power of max|A| overflows
+        if scale == 0.0 or abs(np.linalg.det(self.A / scale)) <= 1e-9:
             raise ShapeError("quadric matrix is (numerically) singular")
 
     @property

@@ -47,13 +47,13 @@ sample whose h ``h_is_degenerate``.  Analysis failures, gate skips and
 degeneracy skips are reported per sample and never silently dropped: a
 ``TheoremReport`` keeps ``_score``'s per-sample columns, with None in every
 column but ``skip_reasons`` where a sample was skipped, and its ``to_dict``
-alone writes the report's per-sample rows.
+writes those columns under their own names (report version 2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -202,31 +202,13 @@ class TheoremReport:
         ]
 
     def to_dict(self) -> dict:
-        """The report as JSON-ready values, one ``per_sample`` row per sample
-        (report version 1)."""
-        rows = []
-        for idx, reason in enumerate(self.skip_reasons):
-            scored = reason is None
-            rows.append({
-                "index": idx,
-                "identities": {k: v[idx] for k, v in self.identities.items()} if scored else {},
-                "extras": {"signature": self.signatures[idx]} if scored and self.signatures else {},
-                "max_residual": self.worst[idx] if scored else 0.0,
-                "passed": self.ok[idx] if scored else False,
-                "skipped": not scored,
-                "skip_reason": reason,
-                # Every scored sample is vacuous exactly when the suite is.
-                "vacuous": scored and self.status == "vacuous",
-                "vacuous_identities": list(self.vacuous_identities) if scored else [],
-            })
+        """The report as JSON-ready values (report version 2): every field
+        under its own name, the columns as the report's own lists, plus the
+        suite's ``max_residual`` and ``num_skipped``."""
         return {
-            "theorem_id": self.theorem_id,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "gate": self.gate,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "max_residual": self.max_residual,
             "num_skipped": self.num_skipped,
-            "per_sample": rows,
         }
 
 

@@ -85,6 +85,40 @@ def test_verify_json_report(tmp_path):
     assert report["scene"]["family"] == "hyperbola"
 
 
+REPORT_KEYS = {"version", "diagnostic", "engine_self_test", "suites", "samples", "overall", "scene"}
+SUITE_KEYS = {
+    "theorem_id", "tolerance", "status", "gate", "skip_reasons", "identities", "worst",
+    "ok", "vacuous_identities", "signatures", "max_residual", "num_skipped",
+}
+
+
+@pytest.mark.parametrize("no_timing", [False, True])
+def test_report_v2_schema(tmp_path, no_timing):
+    # Each suite is its TheoremReport: one column entry per sample.
+    report_path = tmp_path / "report.json"
+    cmd_verify(perturbed_file(tmp_path), json_path=str(report_path), no_timing=no_timing)
+    report = json.loads(report_path.read_text())
+    assert set(report) == REPORT_KEYS | (set() if no_timing else {"timing"})
+    assert report["version"] == 2
+    total = report["samples"]["total"]
+    assert total == 10
+    for name, suite in report["suites"].items():
+        assert set(suite) == SUITE_KEYS, name
+        assert suite["signatures"] is None
+        columns = [suite["skip_reasons"], suite["worst"], suite["ok"], *suite["identities"].values()]
+        assert all(len(column) == total for column in columns), name
+
+
+@pytest.mark.parametrize("where", ["missing_dir/r.json", "."])
+def test_unwritable_json_path_exits_2(tmp_path, capsys, where):
+    # An I/O error is not a verdict: exit 2, not the traceback exit 1.
+    scene = hyperbola_file(tmp_path)
+    assert main(["verify", scene, "--json", str(tmp_path / where)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_report_determinism(tmp_path):
     scene_path = str(tmp_path / "q.json")
     cmd_gen_quadric(1, 11, scene_path, num_samples=6)
@@ -114,6 +148,19 @@ def test_engine_self_test_is_the_engine_battery(tmp_path, monkeypatch, capsys):
     assert engine["passed"] is False
     assert math.isnan(engine["ricci"]) and engine["gauss"] == 0.0
     assert "ricci nan  [FAIL]" in capsys.readouterr().out
+
+
+def test_huge_quadric_entries_exit_2(tmp_path, capsys):
+    # max|A| ** 4 overflows a float; the singularity test must not.
+    quadric = {"n": 1, "P": [[1e200, 0.0], [0.0, -1e200]], "R_skew": [[0.0, 0.0], [0.0, 0.0]]}
+    path = write_scene(
+        tmp_path,
+        {"version": 1, "scene": {"family": "quadric_radial", "n": 1,
+                                 "params": {"quadric": quadric}}},
+    )
+    assert cmd_verify(path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.scene") and "Traceback" not in err
 
 
 def test_verify_missing_file():
@@ -299,8 +346,7 @@ def test_gated_suites_skip_without_diagnostic(tmp_path):
     cmd_verify(perturbed_file(tmp_path), json_path=str(report_path))
     report = json.loads(report_path.read_text())
     assert report["suites"]["THM_STAU"]["status"] == "skipped"
-    sample = report["suites"]["THM_STAU"]["per_sample"][0]
-    assert sample["skip_reason"].startswith("gate:")
+    assert report["suites"]["THM_STAU"]["skip_reasons"][0].startswith("gate:")
 
 
 def test_unverifiable_selected_suite_is_not_a_pass(tmp_path):
@@ -333,6 +379,26 @@ def test_gen_quadric_n0_forced_zero_skew(tmp_path):
 
 def test_gen_quadric_negative_n(tmp_path):
     assert cmd_gen_quadric(-1, 0, str(tmp_path / "x.json")) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--num-samples", "0"),
+        ("--num-samples", "-5"),
+        ("--sample-box", "-1"),
+        ("--sample-box", "nan"),
+        ("--sample-box", "inf"),
+        ("--seed", "-1"),
+    ],
+)
+def test_gen_quadric_rejects_what_verify_rejects(tmp_path, capsys, option, value):
+    out = tmp_path / "bad.json"
+    argv = ["gen-quadric", "--n", "1", "--seed", "0", "--out", str(out), option, value]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_gen_then_verify_several_seeds(tmp_path):

@@ -3,10 +3,15 @@
 
 The ``*.report.json`` files were written by ``parageom verify <scene>
 --no-timing --json <report>`` before the battery bodies switched to raw
-residuals, so any change to how a verdict is reached shows up here.  Exit
-codes, statuses, skip reasons and vacuous lists must match exactly; floats
-within 1e-13 absolute or 1e-12 relative.  Regenerate a report only for a
-deliberate change of its contents, and say why in the commit.
+residuals, so any change to how a verdict is reached shows up here.  They
+were then converted from report version 1 to version 2 without re-running
+``verify``: each column is the v1 ``per_sample`` row field read in order,
+null where the row was skipped; ``vacuous_identities`` and the identity names
+come from any scored row (``[]`` and ``{}`` without one), and the floats are
+the stored ones.  Exit codes, statuses, skip reasons and vacuous lists must
+match exactly; floats within 1e-13 absolute or 1e-12 relative.  Regenerate a
+report only for a deliberate change of its contents, and say why in the
+commit.
 """
 
 import json

@@ -123,6 +123,14 @@ def test_singular_spec_rejected():
         QuadricSpec(n=1, P=np.ones((2, 2)), R_skew=np.zeros((2, 2)))
 
 
+def test_huge_spec_constructs():
+    # The singularity test is relative to max|A|, so no power of it overflows.
+    spec = QuadricSpec(n=1, P=np.diag([1e200, -1e200]), R_skew=np.zeros((2, 2)))
+    assert np.max(np.abs(spec.A)) == 1e200
+    with pytest.raises(ShapeError):
+        QuadricSpec(n=1, P=1e200 * np.ones((2, 2)), R_skew=np.zeros((2, 2)))
+
+
 # ----------------------------------------------------------------------
 # quadric residual
 

@@ -140,7 +140,8 @@ def test_cor_wzory_vacuous_at_n0():
     report = run_suite(scene, "COR_WZORY")
     assert report.status == "vacuous"
     assert report.passed
-    assert report.to_dict()["per_sample"][0]["vacuous"]
+    d = report.to_dict()
+    assert d["status"] == "vacuous" and d["skip_reasons"] == [None]
 
 
 # ----------------------------------------------------------------------
@@ -409,10 +410,11 @@ def test_failing_report_rows_round_trip_as_plain_json():
     d = run_suite(scene, "METRIC").to_dict()
     assert d["status"] == "failed"
     assert json.loads(json.dumps(d)) == d
-    assert any(r["passed"] is False for r in d["per_sample"])
-    for r in d["per_sample"]:
-        assert type(r["passed"]) is bool and type(r["max_residual"]) is float
-        assert all(type(v) is float for v in r["identities"].values())
+    assert d["num_skipped"] == 0
+    assert False in d["ok"]
+    assert all(type(ok) is bool for ok in d["ok"])
+    assert all(type(w) is float for w in d["worst"])
+    assert all(type(v) is float for col in d["identities"].values() for v in col)
 
 
 def test_skipped_samples_read_none_outside_skip_reasons():
@@ -539,8 +541,9 @@ def test_n0_vacuous_identities(scene):
         assert report.vacuous_identities == names, theorem_id
         assert all(v == 0.0 for k in names for v in report.identities[k])
         # LEM_EST keeps two identities that do not quantify over ker(eta).
-        rows = report.to_dict()["per_sample"]
-        assert [r["vacuous"] for r in rows] == [theorem_id != "LEM_EST"] * len(rows)
+        d = report.to_dict()
+        assert (d["status"] == "vacuous") == (theorem_id != "LEM_EST"), theorem_id
+        assert d["vacuous_identities"] == names
 
 
 def test_scene_without_samples_skips_every_suite():
@@ -618,5 +621,6 @@ def test_converse_report_serializes():
     report = verify_quadric_converse(fixed_n1_spec(), num_samples=3, seed=5)
     d = report.to_dict()
     assert d["theorem_id"] == "THM_QUADRIC_CONV"
-    assert len(d["per_sample"]) == 3
+    assert len(d["skip_reasons"]) == len(d["worst"]) == len(d["ok"]) == 3
+    assert d["signatures"] == [[2, 1]] * 3
     assert isinstance(d["tolerance"], dict)
