@@ -211,6 +211,9 @@ def _build_scene(family, n, params, common) -> ImmersionScene:
             raise SceneFileError("$.scene.n: hyperbola scenes require n = 0")
         return hyperbola_scene(**common)
 
+    if family == "perturbed_transversal" and n < 1:
+        raise SceneFileError("$.scene.n: perturbed_transversal scenes require n >= 1")
+
     if family in ("quadric_radial", "perturbed_transversal"):
         qd = params.get("quadric")
         if not isinstance(qd, dict):

@@ -109,9 +109,11 @@ class Polynomial:
         powers = {}  # (variable, exponent) -> jet, each computed once
         out = np.zeros(seeds.shape[:-2] + (space.ncoeff,))
         for alpha, c in self.terms:
-            term = space.const(c)
+            term = None
             for i, a in enumerate(alpha):
-                if a and (i, a) not in powers:
+                if not a:
+                    continue
+                if (i, a) not in powers:
                     # Square-and-multiply from the leading bit down.
                     u = p = seeds[..., i, :]
                     for bit in bin(a)[3:]:
@@ -119,9 +121,8 @@ class Polynomial:
                         if bit == "1":
                             p = space.mul(p, u)
                     powers[i, a] = p
-                if a:
-                    term = space.mul(term, powers[i, a])
-            out += term
+                term = c * powers[i, a] if term is None else space.mul(term, powers[i, a])
+            out += space.const(c) if term is None else term
         return out
 
     def to_dict(self) -> dict:
@@ -256,6 +257,9 @@ def perturbed_scene(
     metric compatibility degrades linearly with eps.  The direction is
     normalized so that |W| = 1 at the base point.
     """
+    if spec.n < 1:
+        # ker(eta) is {0} at n = 0: there is no J-invariant direction to add.
+        raise GenerationError("perturbed_transversal scenes require n >= 1")
     rng = np.random.default_rng([seed, 1])
     x0 = np.asarray(base_point, dtype=float) if base_point is not None else find_base_point(spec, rng)
     v = np.asarray(basis, dtype=float) if basis is not None else tangent_basis(spec, x0)

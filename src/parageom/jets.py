@@ -23,6 +23,15 @@ Two layers live here:
   The geometry modules use this layer directly so whole tensors of jets,
   for all of a scene's samples at once, move through single numpy calls.
 
+The product kernels (``mul`` and ``matvec``) are sparse Taylor products
+(Griewank and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+ch. 13).  The terms with a constant factor, ``a0*b + b0*a`` with the
+constant coefficient ``a0*b0``, are broadcasts; at order 1 they are the
+whole product.  The pairs of two non-constant factors (order >= 2 only) are
+gathered in a table sorted by destination coefficient and summed with one
+``np.add.reduceat`` along the coefficient axis.  No dense pairs x ncoeff
+scatter matrix exists.
+
 Truncation caveat: differentiating a jet shifts coefficients down one order,
 so the result carries exact data only up to degree ``order - k`` after ``k``
 derivatives.  Callers must not extract higher orders from shifted jets; the
@@ -61,32 +70,45 @@ class JetSpace:
             raise ShapeError(f"jet order must be in 1..{MAX_ORDER}, got {order}")
         self.num_vars = num_vars
         self.order = order
-        alphas = [(0,) * num_vars]
+        combos = [()]
         for deg in range(1, order + 1):
-            for combo in itertools.combinations_with_replacement(range(num_vars), deg):
-                alpha = [0] * num_vars
-                for v in combo:
-                    alpha[v] += 1
-                alphas.append(tuple(alpha))
+            combos.extend(itertools.combinations_with_replacement(range(num_vars), deg))
+        alphas = []
+        for combo in combos:
+            alpha = [0] * num_vars
+            for v in combo:
+                alpha[v] += 1
+            alphas.append(tuple(alpha))
         self.alphas: tuple[tuple[int, ...], ...] = tuple(alphas)
         self.ncoeff = len(alphas)
         self.index: dict[tuple[int, ...], int] = {a: i for i, a in enumerate(alphas)}
-        degrees = np.array([sum(a) for a in alphas])
+        degrees = np.array([len(c) for c in combos])
 
-        # Multiplication: gather factor pairs, multiply, scatter-add into the
-        # destination coefficient via one dense matmul.
-        left, right, dest = [], [], []
-        for i, a in enumerate(alphas):
-            for j, b in enumerate(alphas):
-                if degrees[i] + degrees[j] <= order:
-                    left.append(i)
-                    right.append(j)
-                    dest.append(self.index[tuple(x + y for x, y in zip(a, b))])
-        self._mul_left = np.array(left)
-        self._mul_right = np.array(right)
-        scatter = np.zeros((len(dest), self.ncoeff))
-        scatter[np.arange(len(dest)), dest] = 1.0
-        self._mul_scatter = scatter
+        # Multiplication: the terms with a constant factor broadcast, so these
+        # tables hold only the pairs (left, right) of non-constant factors,
+        # which exist from order 2 on.  They are sorted by the destination
+        # coefficient, and a pair's product is summed into its destination
+        # by one reduceat over segments that start at ``_mul_starts``.  Every
+        # coefficient of degree >= 2 receives at least one pair and the
+        # layout is by degree, so the segments fill positions num_vars + 1
+        # onwards in order.  The destination of a pair is found exactly: each
+        # coefficient is written as its variables in ascending order, padded
+        # with num_vars to length ``order``, and an array indexed by such
+        # rows maps them back to positions.
+        rows = np.full((self.ncoeff, order), num_vars)
+        for i, combo in enumerate(combos):
+            rows[i, : len(combo)] = combo
+        position = np.empty((num_vars + 1,) * order, dtype=np.intp)
+        position[tuple(rows.T)] = np.arange(self.ncoeff)
+        low = degrees[1 : int(np.sum(degrees < order))]
+        left, right = np.nonzero(low[:, None] + low[None, :] <= order)
+        left, right = left + 1, right + 1
+        both = np.sort(np.concatenate([rows[left], rows[right]], axis=1), axis=1)
+        dest = position[tuple(both[:, :order].T)]
+        by_dest = np.argsort(dest, kind="stable")
+        self._mul_left = left[by_dest]
+        self._mul_right = right[by_dest]
+        self._mul_starts = np.flatnonzero(np.diff(dest[by_dest], prepend=-1))
 
         # Partial-derivative tables: d_i c[beta] = c[beta + e_i] * (beta_i + 1)
         # for the betas of degree < order, which are the leading positions.
@@ -132,14 +154,27 @@ class JetSpace:
     # arithmetic kernels
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a[..., self._mul_left] * b[..., self._mul_right]) @ self._mul_scatter
+        out = a[..., :1] * b
+        out += b[..., :1] * a
+        out[..., 0] = a[..., 0] * b[..., 0]
+        if self._mul_left.size:
+            pairs = a[..., self._mul_left] * b[..., self._mul_right]
+            out[..., self.num_vars + 1 :] += np.add.reduceat(pairs, self._mul_starts, axis=-1)
+        return out
 
     def matvec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jet matrix ``(..., p, q, ncoeff)`` times a stack of K jet vectors
         ``(..., q, K, ncoeff)``, giving ``(..., p, K, ncoeff)``; the leading
         axes (one per sample of a batch, say) pair up as in ``np.matmul``."""
-        g = np.einsum("...pqt,...qkt->...pkt", m[..., self._mul_left], v[..., self._mul_right])
-        return g @ self._mul_scatter
+        out = m[..., 0] @ v.reshape(v.shape[:-2] + (-1,))
+        out = out.reshape(out.shape[:-1] + v.shape[-2:])
+        out[..., 1:] += np.einsum("...pqt,...qk->...pkt", m[..., 1:], v[..., 0])
+        if self._mul_left.size:
+            pairs = np.einsum(
+                "...pqt,...qkt->...pkt", m[..., self._mul_left], v[..., self._mul_right]
+            )
+            out[..., self.num_vars + 1 :] += np.add.reduceat(pairs, self._mul_starts, axis=-1)
+        return out
 
     def compose(self, a: np.ndarray, c0, *c) -> np.ndarray:
         """c0 + c1*d + c2*d^2 + ... with d = a - a0, up to the space's order;

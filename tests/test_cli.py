@@ -263,6 +263,20 @@ def test_malformed_field_exits_2_with_field_path(tmp_path, capsys, family, keys,
     assert f"error: {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("direction", [None, [1.0, 0.0]])
+def test_perturbed_n0_exits_2_naming_n(tmp_path, capsys, direction):
+    # At n = 0 ker(eta) is {0}, so no J-invariant perturbation exists, with
+    # or without a given direction.
+    data = quadric_scene_dict(0, 3, num_samples=4)
+    data["scene"]["family"] = "perturbed_transversal"
+    data["scene"]["params"]["epsilon"] = 0.1
+    if direction is not None:
+        data["scene"]["params"]["direction"] = direction
+    assert main(["verify", write_scene(tmp_path, data)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: $.scene.n: perturbed_transversal scenes require n >= 1\n"
+
+
 @pytest.mark.parametrize("box", [1e200, 8e307])
 def test_huge_sample_box_exits_2_naming_the_box(tmp_path, capsys, box):
     # Far out in the box the chart quality y'Ay overflows: the sample screen

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parageom import jet_space
-from parageom.errors import ChartLeak, DegenerateFrame, ShapeError
+from parageom.errors import ChartLeak, DegenerateFrame, GenerationError, ShapeError
 from parageom.hypersurface import (
     CHART_Q_MIN,
     Frame,
@@ -208,6 +208,11 @@ def test_polynomial_powers_match_repeated_products(a):
     if a <= 3:
         # Up to the cube the two product chains coincide.
         assert np.array_equal(got, want)
+
+
+def test_perturbed_scene_rejects_n0():
+    with pytest.raises(GenerationError, match="require n >= 1"):
+        perturbed_scene(random_quadric_spec(0, 7), epsilon=0.1, seed=7, num_samples=3)
 
 
 def test_graph_h_is_hessian_and_degeneracy_reported():

@@ -316,6 +316,88 @@ def test_order1_kernels_equal_truncated_order3(num_vars):
     )
 
 
+# ----------------------------------------------------------------------
+# product kernels against a naive truncated product
+
+
+def naive_triples(space, nonconstant=False):
+    """Every (left, right, dest) with alpha_left + alpha_right = alpha_dest of
+    degree <= order, by direct multi-index addition; optionally only the
+    pairs of two non-constant factors."""
+    by_degree = {}
+    for i, alpha in enumerate(space.alphas):
+        by_degree.setdefault(sum(alpha), []).append(i)
+    low = 1 if nonconstant else 0
+    triples = []
+    for da in range(low, space.order + 1):
+        for db in range(low, space.order + 1 - da):
+            for i in by_degree[da]:
+                a = space.alphas[i]
+                for j in by_degree[db]:
+                    dest = tuple(x + y for x, y in zip(a, space.alphas[j]))
+                    triples.append((i, j, space.index[dest]))
+    return triples
+
+
+def naive_mul(space, a, b):
+    """The truncated product of two coefficient stacks, one jet at a time."""
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a, b = np.broadcast_to(a, lead + a.shape[-1:]), np.broadcast_to(b, lead + b.shape[-1:])
+    triples = naive_triples(space)
+    out = np.zeros(lead + (space.ncoeff,))
+    for idx in np.ndindex(*lead):
+        for i, j, dest in triples:
+            out[idx + (dest,)] += a[idx + (i,)] * b[idx + (j,)]
+    return out
+
+
+KERNEL_LEADS = [((), ()), ((3,), (3,)), ((2, 1), (1, 3))]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4, 5, 6])
+def test_mul_matches_naive_truncated_product(num_vars, order):
+    rng = np.random.default_rng(10 * num_vars + order)
+    space = jet_space(num_vars, order)
+    for lead_a, lead_b in KERNEL_LEADS:
+        a = rng.normal(size=lead_a + (space.ncoeff,))
+        b = rng.normal(size=lead_b + (space.ncoeff,))
+        got = space.mul(a, b)
+        assert got.shape == np.broadcast_shapes(lead_a, lead_b) + (space.ncoeff,)
+        np.testing.assert_allclose(got, naive_mul(space, a, b), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4, 5, 6])
+def test_matvec_matches_naive_truncated_product(num_vars, order):
+    rng = np.random.default_rng(100 + 10 * num_vars + order)
+    space = jet_space(num_vars, order)
+    p, q, k = 2, 3, 2
+    for lead_m, lead_v in KERNEL_LEADS:
+        m = rng.normal(size=lead_m + (p, q, space.ncoeff))
+        v = rng.normal(size=lead_v + (q, k, space.ncoeff))
+        # sum over q of m[..., p, q] * v[..., q, k], as a (..., p, q, k) product
+        want = naive_mul(space, m[..., :, :, None, :], v[..., None, :, :, :]).sum(axis=-3)
+        got = space.matvec(m, v)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "num_vars, order", [(1, 1), (1, 3), (2, 2), (4, 3), (6, 3), (7, 2), (33, 3)]
+)
+def test_pair_tables_are_the_nonconstant_factor_pairs(num_vars, order):
+    # 33 variables at order 3 is where a mixed-radix key (order + 1)**num_vars
+    # no longer fits in int64.
+    space = jet_space(num_vars, order)
+    left, right, starts = space._mul_left, space._mul_right, space._mul_starts
+    # The segments are the coefficients of degree >= 2, in layout order.
+    assert len(starts) == space.ncoeff - num_vars - 1
+    dest = num_vars + 1 + np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(left))))
+    got = sorted(zip(left.tolist(), right.tolist(), dest.tolist()))
+    assert got == sorted(naive_triples(space, nonconstant=True))
+
+
 def test_derivs_are_truncated_partials():
     rng = np.random.default_rng(12)
     space = jet_space(3)
