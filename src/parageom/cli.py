@@ -430,11 +430,12 @@ def cmd_sweep(path, values=()) -> int:
         )
         return EXIT_INPUT
 
-    # Row e*S + k of the swept batch is sample k at values[e].
+    # Row e*S + k of the swept batch is sample k at values[e]; with epsilon
+    # as a column, f and W are evaluated once per sample (``induced_data``).
     num = len(scene.samples)
     swept = dataclasses.replace(
         scene,
-        params={**scene.params, "epsilon": np.repeat(values, num)},
+        params={**scene.params, "epsilon": np.asarray(values)[:, None]},
         samples=scene.samples * len(values),
     )
     report, _ = run_verification(

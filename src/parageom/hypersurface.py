@@ -190,7 +190,8 @@ def _validate_quadric_params(spec: QuadricSpec, x0: np.ndarray, basis: np.ndarra
     if basis.shape != (m, spec.ambient_dim):
         raise ShapeError(f"tangent basis shape {basis.shape} != ({m}, {spec.ambient_dim})")
     w = spec.A @ x0
-    if np.max(np.abs(basis @ w)) > 1e-9:
+    # Relative to |A x0|, so that the test does not depend on the scale of A.
+    if np.max(np.abs(basis @ w)) > 1e-9 * np.linalg.norm(w):
         raise ShapeError("tangent basis is not orthogonal to A x0")
     if np.linalg.matrix_rank(basis, tol=1e-10) != m:
         raise ShapeError("tangent basis does not span the tangent plane")
@@ -394,8 +395,12 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
     coefficients of degree <= 1 do not depend on ``order``.  A point outside
     the radial chart raises ChartLeak; ``induced_data`` keeps such points of
     a stack out beforehand.  A perturbed scene's ``params["epsilon"]`` is a
-    scalar or one value per point of the stack (shape ``u.shape[:-1]``), so
-    one call can evaluate ``C = x + eps W`` at several epsilons.
+    scalar or an array that broadcasts against the stack's shape
+    ``u.shape[:-1]``, so one call can evaluate ``C = x + eps W`` at several
+    epsilons: one value per point, or a column ``(E, 1)`` against ``S``
+    points, which evaluates f and W once per point and gives ``(E, S, ...)``
+    for both f and C.  A perturbed scene's f is a read-only view, broadcast
+    to the shape of C.
     """
     u = np.asarray(u, dtype=float)
     for fault in _chart_faults(scene, u).flat:
@@ -424,12 +429,13 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
         w = scene.params["direction"]
         aw = spec.A @ w
         ajw = spec.A @ apply_J(w)
-        s1 = np.einsum("r,...rc->...c", aw, f)
-        s2 = np.einsum("r,...rc->...c", ajw, f)
+        s1 = aw @ f
+        s2 = ajw @ f
         w_field = space.const(w) - space.mul(s1[..., None, :], f) - space.mul(
             s2[..., None, :], apply_J(f, axis=-2)
         )
-        return f, f + eps * w_field
+        c = f + eps * w_field
+        return np.broadcast_to(f, c.shape), c
 
     # explicit_graph
     graph: Polynomial = scene.params["graph"]
@@ -482,10 +488,11 @@ class Frame:
     ``tangent2`` keeps e_i = d_i f as order-2 jets for the one further
     derivative the structure equations take (d_j e_i); everything downstream
     lives in the order-1 space ``self.space``, where ``tangent_jets`` and
-    ``C_jet`` are the truncated e_i and C.  The inverse of B in that jet
-    algebra is B0^{-1} corrected by a Neumann series in the nilpotent part,
-    which terminates after one term at order 1, so decompositions carry
-    first derivatives exactly.
+    ``C_jet`` are the truncated e_i and C.  ``b0_inv`` is the inverse of the
+    frame value B0, computed once per frame, so every decomposition is a
+    matmul.  Write B = B0 + N with N the gradient (nilpotent) part; at order
+    1 the inverse of B in the jet algebra is exactly B0^{-1} - B0^{-1} N
+    B0^{-1}, so decompositions carry first derivatives exactly.
 
     ``faults`` holds each sample's DegenerateFrame (None where the frame is
     usable); such a sample goes on as the flat frame of the plane
@@ -504,6 +511,7 @@ class Frame:
         self.m = m
         self.dim = dim
         self.b0, self.cond, self.faults = _frame_value(f_jet, C_jet)
+        self.b0_inv = np.linalg.inv(self.b0)
         flat = failed(self.faults)[..., None, None]
         f_jet = np.where(flat, np.concatenate([space.seeds(np.zeros(m)), space.const([0.0])]), f_jet)
         C_jet = np.where(flat, space.const(np.eye(dim)[m]), C_jet)
@@ -519,7 +527,7 @@ class Frame:
     def _solve(self, v: np.ndarray) -> np.ndarray:
         """B0^{-1} v for jet vectors v of shape (..., dim, K, ncoeff)."""
         lead = self.b0.shape[:-2]
-        return np.linalg.solve(self.b0, v.reshape(lead + (self.dim, -1))).reshape(v.shape)
+        return (self.b0_inv @ v.reshape(lead + (self.dim, -1))).reshape(v.shape)
 
     def decompose_jets(self, v: np.ndarray):
         """Split first-order jet vectors ``(dim, ..., ncoeff)``, behind the
@@ -577,15 +585,30 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     """Gamma, h, S, tau and their first derivatives at a chart point ``(m,)``,
     or at every point of a ``(S, m)`` stack in one pass.  A single point
     raises its ChartLeak or DegenerateFrame; a stack keeps them in
-    ``faults``."""
+    ``faults``.
+
+    A perturbed scene whose epsilon is a column ``(E, 1)`` takes a stack of
+    E copies of the same S points, row e*S + k being point k at epsilon[e]
+    (a swept scene); f and W are evaluated once per point, and only C once
+    per row."""
     u = np.asarray(u, dtype=float)
     faults = _chart_faults(scene, u)
     outside = failed(faults)
     # A point outside the chart is evaluated at the chart centre instead.
-    f, c = eval_immersion(scene, np.where(outside[..., None], 0.0, u))
+    points = np.where(outside[..., None], 0.0, u)
+    blocks = np.shape(scene.params.get("epsilon"))
+    if len(blocks) == 2:
+        num = len(u) // blocks[0]
+        tiled = np.broadcast_to(u[:num], (blocks[0],) + u[:num].shape)
+        if u.shape != (blocks[0] * num, scene.chart_dim) or not np.array_equal(
+            u.reshape(tiled.shape), tiled, equal_nan=True
+        ):
+            raise ShapeError(f"a column of {blocks[0]} epsilons needs as many copies of one stack")
+        points = points[:num]
+    f, c = eval_immersion(scene, points)
+    f, c = f.reshape(u.shape[:-1] + f.shape[-2:]), c.reshape(u.shape[:-1] + c.shape[-2:])
     space3 = jet_space(scene.chart_dim)
     frame = Frame(space3, f, c)
-    space = frame.space
     m = frame.m
     # d_j e_i for i <= j, then d_j C, as first-order jets.
     iu, ju = np.triu_indices(m)
@@ -594,26 +617,27 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     rhs = np.concatenate([d_tangent[..., iu, ju, :], frame.dC_jets], axis=-2)
     tang, transv = frame.decompose_jets(rhs)
 
-    lead = u.shape[:-1]
-    gamma_j = np.zeros(lead + (m, m, m, space.ncoeff))
-    h_j = np.zeros(lead + (m, m, space.ncoeff))
-    gamma_j[..., iu, ju, :] = gamma_j[..., ju, iu, :] = tang[..., :npairs, :]
-    h_j[..., iu, ju, :] = h_j[..., ju, iu, :] = transv[..., :npairs, :]
-    s_j = -tang[..., npairs:, :]
-    tau_j = transv[..., npairs:, :]
+    # Each jet splits into its value and its gradient [l, ...]: with the
+    # coefficient axis in front of the tensor axes both are slices, and each
+    # field is copied out of one into a contiguous array of its own.
+    tang = np.moveaxis(tang, -1, -3)  # [..., coeff, k, pair]
+    transv = np.moveaxis(transv, -1, -2)  # [..., coeff, pair]
+    # pair[i, j] is the pair of (min(i, j), max(i, j)): Gamma and h are symmetric.
+    pair = np.empty((m, m), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(npairs)
 
     return InducedData(
         n=scene.n,
         u=u,
         frame=frame,
-        Gamma=gamma_j[..., 0],
-        h=h_j[..., 0],
-        S=s_j[..., 0],
-        tau=tau_j[..., 0],
-        dGamma=np.moveaxis(space.grad(gamma_j), -1, -4),
-        dh=np.moveaxis(space.grad(h_j), -1, -3),
-        dS=np.moveaxis(space.grad(s_j), -1, -3),
-        dtau_raw=np.moveaxis(space.grad(tau_j), -1, -2),
+        Gamma=np.take(tang[..., 0, :, :], pair, axis=-1),
+        h=np.take(transv[..., 0, :], pair, axis=-1),
+        S=np.negative(tang[..., 0, :, npairs:], order="C"),
+        tau=transv[..., 0, npairs:].copy(),
+        dGamma=np.take(tang[..., 1:, :, :], pair, axis=-1),
+        dh=np.take(transv[..., 1:, :], pair, axis=-1),
+        dS=np.negative(tang[..., 1:, :, npairs:], order="C"),
+        dtau_raw=transv[..., 1:, npairs:].copy(),
         faults=np.where(outside, faults, frame.faults),
     )
 
@@ -630,17 +654,21 @@ def h_is_degenerate(h: np.ndarray):
 
 def derive_tensors(ind: InducedData) -> DerivedTensors:
     g, dg, h = ind.Gamma, ind.dGamma, ind.h
+    lead, m = g.shape[:-3], g.shape[-1]
+    # gg[l, i, j, k] = sum_p Gamma[l, i, p] Gamma[p, j, k] gives both
+    # Gamma.Gamma terms of R, the second with i and j swapped.
+    gg = (g.reshape(lead + (m * m, m)) @ g.reshape(lead + (m, m * m))).reshape(dg.shape)
     r_curv = (
-        np.einsum("...iljk->...lijk", dg)
+        np.swapaxes(dg, -4, -3)
         - np.einsum("...jlik->...lijk", dg)
-        + np.einsum("...lip,...pjk->...lijk", g, g)
-        - np.einsum("...ljp,...pik->...lijk", g, g)
+        + gg
+        - np.swapaxes(gg, -3, -2)
     )
-    nabla_h = (
-        ind.dh
-        - np.einsum("...pij,...pk->...ijk", g, h)
-        - np.einsum("...pik,...jp->...ijk", g, h)
-    )
+    # sum_p Gamma[p, i, j] h[p, k] and sum_p h[j, p] Gamma[p, i, k], as [i, j, k].
+    g_flat = g.reshape(lead + (m, m * m))
+    gh = (np.swapaxes(g_flat, -1, -2) @ h).reshape(g.shape)
+    hg = np.swapaxes((h @ g_flat).reshape(g.shape), -3, -2)
+    nabla_h = ind.dh - gh - hg
     q = nabla_h + ind.tau[..., :, None, None] * h[..., None, :, :]
     dtau = 0.5 * (ind.dtau_raw - np.swapaxes(ind.dtau_raw, -1, -2))
     return DerivedTensors(R_curv=r_curv, nabla_h=nabla_h, Q=q, dtau=dtau)
@@ -661,15 +689,15 @@ def residuals_from_data(ind: InducedData, der: DerivedTensors) -> dict:
     """``{gauss, codazzi_h, codazzi_s, ricci}``: the raw residual tensor of
     each structure equation."""
     h, s, g = ind.h, ind.S, ind.Gamma
+    lead, m = g.shape[:-3], g.shape[-1]
     gauss = der.R_curv - (
-        np.einsum("...jk,...li->...lijk", h, s) - np.einsum("...ik,...lj->...lijk", h, s)
+        s[..., :, :, None, None] * h[..., None, None, :, :]
+        - s[..., :, None, :, None] * h[..., None, :, None, :]
     )
     codazzi_h = der.Q - np.swapaxes(der.Q, -3, -2)
-    nabla_s = (
-        ind.dS
-        + np.einsum("...lip,...pj->...ilj", g, s)
-        - np.einsum("...pij,...lp->...ilj", g, s)
-    )
+    # sum_p Gamma[l, i, p] S[p, j] - S[l, p] Gamma[p, i, j], as [l, i, j].
+    gs = g @ s[..., None, :, :] - (s @ g.reshape(lead + (m, m * m))).reshape(g.shape)
+    nabla_s = ind.dS + np.swapaxes(gs, -3, -2)
     t = nabla_s - ind.tau[..., :, None, None] * s[..., None, :, :]
     codazzi_s = t - np.einsum("...ilj->...jli", t)
     hs = h @ s

@@ -168,7 +168,11 @@ class JetSpace:
         axes (one per sample of a batch, say) pair up as in ``np.matmul``."""
         out = m[..., 0] @ v.reshape(v.shape[:-2] + (-1,))
         out = out.reshape(out.shape[:-1] + v.shape[-2:])
-        out[..., 1:] += np.einsum("...pqt,...qk->...pkt", m[..., 1:], v[..., 0])
+        # The terms m[..., t] v[..., 0] as one matmul: (p t, q) @ (q, K).
+        p, q, k = out.shape[-3], v.shape[-3], v.shape[-2]
+        rows = np.swapaxes(m[..., 1:], -1, -2)
+        prod = rows.reshape(rows.shape[:-3] + (-1, q)) @ v[..., 0]
+        out[..., 1:] += np.swapaxes(prod.reshape(prod.shape[:-2] + (p, -1, k)), -1, -2)
         if self._mul_left.size:
             pairs = np.einsum(
                 "...pqt,...qkt->...pkt", m[..., self._mul_left], v[..., self._mul_right]

@@ -167,11 +167,8 @@ def signature_of(h: np.ndarray):
 
 def metric_residual(pd: ParacontactData, h: np.ndarray) -> np.ndarray:
     """Defect of h(phi X, phi Y) + h(X, Y) - eta(X) eta(Y) over frame pairs."""
-    return (
-        np.einsum("...ki,...lj,...kl->...ij", pd.phi, pd.phi, h)
-        + h
-        - pd.eta[..., :, None] * pd.eta[..., None, :]
-    )
+    phi = pd.phi
+    return np.swapaxes(phi, -1, -2) @ h @ phi + h - pd.eta[..., :, None] * pd.eta[..., None, :]
 
 
 def axiom_residuals(pd: ParacontactData) -> dict:
@@ -190,7 +187,7 @@ def axiom_residuals(pd: ParacontactData) -> dict:
         out["eigen_split"] = np.zeros(pd.eta.shape[:-1])
         out["eigen_counts_ok"] = np.ones(pd.eta.shape[:-1], dtype=bool)
         return out
-    action = np.einsum("...bk,...kl,...al->...ba", pd.D_basis, pd.phi, pd.D_basis)
+    action = pd.D_basis @ pd.phi @ np.swapaxes(pd.D_basis, -1, -2)
     vals = np.linalg.eigvals(action)
     out["eigen_split"] = np.minimum(np.abs(vals - 1), np.abs(vals + 1))
     out["eigen_counts_ok"] = np.sum(vals.real > 0, axis=-1) == pd.n
@@ -221,13 +218,16 @@ def normality_residuals(pd: ParacontactData, induced: InducedData):
     check.
     """
     phi, dphi = pd.phi, pd.dphi
-    nij = (
-        np.einsum("...li,...lkj->...kij", phi, dphi)
-        - np.einsum("...lj,...lki->...kij", phi, dphi)
-        - np.einsum("...kl,...ilj->...kij", phi, dphi)
-        + np.einsum("...kl,...jli->...kij", phi, dphi)
+    lead, m = phi.shape[:-2], phi.shape[-1]
+    # d[k, i, j] = sum_l phi[l, i] dphi[l, k, j] - phi[k, l] dphi[i, l, j];
+    # the bracket is d antisymmetrized in (i, j).
+    d = np.swapaxes(
+        (np.swapaxes(phi, -1, -2) @ dphi.reshape(lead + (m, m * m))).reshape(dphi.shape)
+        - phi[..., None, :, :] @ dphi,
+        -3,
+        -2,
     )
-    nijenhuis = nij - 2.0 * np.einsum("...ij,...k->...kij", pd.d_eta, pd.xi)
+    nijenhuis = d - np.swapaxes(d, -1, -2) - 2.0 * pd.xi[..., :, None, None] * pd.d_eta[..., None, :, :]
 
     if pd.n == 0:
         return nijenhuis, np.zeros(pd.eta.shape[:-1])
@@ -254,7 +254,8 @@ def levi_civita(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """
     h_inv = np.linalg.inv(_invertible(h))
     t = dh + np.einsum("...lij->...ilj", dh) - np.einsum("...lij->...ijl", dh)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", h_inv, t)
+    m = h.shape[-1]
+    return 0.5 * (h_inv @ np.swapaxes(t.reshape(h.shape[:-2] + (m * m, m)), -1, -2)).reshape(dh.shape)
 
 
 def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -> np.ndarray:
@@ -262,14 +263,12 @@ def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -
     frame pairs, with nabla-hat the Levi-Civita connection of h."""
     g = levi_civita(induced.h, induced.dh)
     phi = pd.phi
-    nab_phi = (
-        pd.dphi
-        + np.einsum("...kil,...lj->...ikj", g, phi)
-        - np.einsum("...lij,...kl->...ikj", g, phi)
-    )
     m = phi.shape[-1]
+    # sum_l G[k, i, l] phi[l, j] - phi[k, l] G[l, i, j], as [i, k, j].
+    g_phi = g @ phi[..., None, :, :] - (phi @ g.reshape(g.shape[:-3] + (m, m * m))).reshape(g.shape)
+    nab_phi = pd.dphi + np.swapaxes(g_phi, -3, -2)
     rhs = alpha * (
-        -np.einsum("...ij,...k->...ikj", induced.h, pd.xi)
-        + np.einsum("...j,ki->...ikj", pd.eta, np.eye(m))
+        -induced.h[..., :, None, :] * pd.xi[..., None, :, None]
+        + np.eye(m)[:, :, None] * pd.eta[..., None, None, :]
     )
     return nab_phi - rhs

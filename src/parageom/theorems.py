@@ -120,7 +120,8 @@ class PointAnalysis:
     """Everything the batteries consume, computed once: at one chart point
     or, with the sample axis in front of every array and ``signature`` an
     ``(S, 2)`` array, at each point of a stack.  ``pd.faults`` is its
-    failure record."""
+    failure record.  The lazy quantities below are cached on the instance,
+    so a ``dataclasses.replace`` copy computes them afresh."""
 
     u: np.ndarray
     ind: InducedData
@@ -128,6 +129,8 @@ class PointAnalysis:
     pd: ParacontactData
     metric: np.ndarray
     signature: tuple | np.ndarray
+    # gate_scores, by tolerance
+    _gates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def normality(self) -> tuple:
@@ -135,6 +138,20 @@ class PointAnalysis:
         analysis for every battery that reads them; lazy because they need
         h^{-1} at n >= 1."""
         return normality_residuals(self.pd, self.ind)
+
+    @cached_property
+    def h_degenerate(self) -> np.ndarray:
+        """``h_is_degenerate`` of every sample, computed once per analysis
+        for every battery that inverts h."""
+        return h_is_degenerate(self.ind.h)
+
+    def gate_scores(self, tol: float) -> dict:
+        """``{gate residual: _score of it alone}`` at the tolerance ``tol``,
+        computed once per analysis and tolerance for every gated battery."""
+        if tol not in self._gates:
+            gated = {"j_tangency": self.pd.tangency, "metric": self.metric}
+            self._gates[tol] = {name: _score({name: r}, tol) for name, r in gated.items()}
+        return self._gates[tol]
 
 
 def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
@@ -261,32 +278,26 @@ def _tw_wzory_identities(pa: PointAnalysis) -> dict:
     eta, phi, xi = pd.eta, pd.phi, pd.xi
     deta, dphi, dxi = pd.deta, pd.dphi, pd.dxi
 
+    lead, m = g.shape[:-3], g.shape[-1]
+    g_flat = g.reshape(lead + (m, m * m))  # [k, (i, j)]
+
     # eta(nabla_X Y) = h(X, phi Y) + X(eta(Y)) + eta(Y) tau(X)
     mixed = h @ phi + deta + tau[..., :, None] * eta[..., None, :]
-    eq1 = np.einsum("...k,...kij->...ij", eta, g) - mixed
+    eq1 = (eta[..., None, :] @ g_flat).reshape(h.shape) - mixed
 
     # phi(nabla_X Y) = nabla_X(phi Y) - eta(Y) S X - h(X, Y) xi
-    nabla_phi = np.einsum("...ikj->...kij", dphi) + np.einsum("...kim,...mj->...kij", g, phi)
-    eq2 = (
-        np.einsum("...km,...mij->...kij", phi, g)
-        - nabla_phi
-        + np.einsum("...j,...ki->...kij", eta, s)
-        + np.einsum("...ij,...k->...kij", h, xi)
-    )
+    nabla_phi = np.einsum("...ikj->...kij", dphi) + g @ phi[..., None, :, :]
+    eta_s = s[..., :, :, None] * eta[..., None, None, :]  # eta(Y) S X as [k, X, Y]
+    eq2 = (phi @ g_flat).reshape(g.shape) - nabla_phi + eta_s + xi[..., :, None, None] * h[..., None, :, :]
 
     # eta([X, Y]) = 0 for coordinate fields: antisymmetrized right side.
     eq3 = mixed - _t(mixed)
 
     # phi([X, Y]) = 0: nabla_X(phi Y) - nabla_Y(phi X) + eta(X) S Y - eta(Y) S X
-    eq4 = (
-        nabla_phi
-        - _t(nabla_phi)
-        + np.einsum("...i,...kj->...kij", eta, s)
-        - np.einsum("...j,...ki->...kij", eta, s)
-    )
+    eq4 = nabla_phi - _t(nabla_phi) + _t(eta_s) - eta_s
 
     # eta(nabla_X xi) = tau(X)
-    nabla_xi = _t(dxi) + np.einsum("...kim,...m->...ki", g, xi)
+    nabla_xi = _t(dxi) + (g.reshape(lead + (m * m, m)) @ xi[..., :, None]).reshape(h.shape)
     eq5 = _mv(_t(nabla_xi), eta) - tau
 
     # eta(S X) = -h(X, xi)
@@ -308,30 +319,28 @@ def _cor_wzory_identities(pa: PointAnalysis) -> dict:
     eta, phi, xi = pd.eta, pd.phi, pd.xi
     # Fields over the ker(eta) basis: rows Z_a, d_l Z_a^k as dz[a, k, l].
     z, dz = pd.D_basis, pd.dbasis
+    z_t = _t(z)[..., None, :, :]
     pz = z @ _t(phi)  # rows phi Z_a
-    dpz = np.einsum("...lkm,...am->...akl", pd.dphi, z) + np.einsum("...km,...aml->...akl", phi, dz)
-    gz = np.einsum("...klm,...al->...akm", g, z)  # Gamma(Z_a, .)
+    dpz = np.swapaxes(pd.dphi @ z_t, -1, -3) + phi[..., None, :, :] @ dz
+    gz = np.swapaxes(z[..., None, :, :] @ g, -3, -2)  # Gamma(Z_a, .)
     # Z_a(Y_b) and the covariant derivatives nabla_{Z_a} Y_b, index [a, b, k].
-    dzz = np.einsum("...bkl,...al->...abk", dz, z)
-    nab = dzz + np.einsum("...akm,...bm->...abk", gz, z)
-    nab_pz = np.einsum("...bkl,...al->...abk", dpz, z) + np.einsum("...akm,...bm->...abk", gz, pz)
+    dzz = np.moveaxis(dz @ z_t, -1, -3)
+    nab = dzz + _t(gz @ z_t)
+    nab_pz = np.moveaxis(dpz @ z_t, -1, -3) + _t(gz @ _t(pz)[..., None, :, :])
     h_zpz = z @ h @ _t(pz)  # h(Z_a, phi Z_b)
     h_xipz = _mv(pz, _mv(_t(h), xi))  # h(xi, phi Z_a)
-    dz_xi = np.einsum("...akl,...l->...ak", dz, xi)  # xi(Z_a)
-    nab_xi_z = dz_xi + z @ _t(np.einsum("...klm,...l->...km", g, xi))
+    dz_xi = (dz @ xi[..., None, :, None])[..., 0]  # xi(Z_a)
+    nab_xi_z = dz_xi + z @ _t((xi[..., None, None, :] @ g)[..., 0, :])
+    eta_col = eta[..., None, :, None]
 
     # eta(nabla_Z W) = h(Z, phi W)
-    r1 = np.einsum("...abk,...k->...ab", nab, eta) - h_zpz
+    r1 = (nab @ eta_col)[..., 0] - h_zpz
     # eta(nabla_xi Z) = h(xi, phi Z)
     r2 = _mv(nab_xi_z, eta) - h_xipz
     # phi(nabla_Z W) = nabla_Z(phi W) - h(Z, W) xi
-    r3 = (
-        np.einsum("...abm,...km->...abk", nab, phi)
-        - nab_pz
-        + (z @ h @ _t(z))[..., None] * xi[..., None, None, :]
-    )
+    r3 = nab @ _t(phi)[..., None, :, :] - nab_pz + (z @ h @ _t(z))[..., None] * xi[..., None, None, :]
     # eta([Z, W]) = h(Z, phi W) - h(W, phi Z)
-    r4 = np.einsum("...abk,...k->...ab", dzz - np.swapaxes(dzz, -3, -2), eta) - h_zpz + _t(h_zpz)
+    r4 = ((dzz - np.swapaxes(dzz, -3, -2)) @ eta_col)[..., 0] - h_zpz + _t(h_zpz)
     # eta([Z, xi]) = -h(xi, phi Z) + tau(Z)
     r5 = _mv(z @ pd.dxi - dz_xi, eta) + h_xipz - _mv(z, tau)
     return {
@@ -370,7 +379,10 @@ def _lem_cubic_identities(pa: PointAnalysis) -> dict:
     h_sphi_w = np.einsum("...ak,...ak->...a", zphi @ _t(ind.S) @ ind.h, z)
     return {
         "cubic_phi_reflection": q_zz + q_pp,
-        "cubic_kernel_vanishing": np.einsum("...ci,...iab->...cab", z, q_zz),  # Q(Z_c, Z_a, Z_b)
+        # Q(Z_c, Z_a, Z_b)
+        "cubic_kernel_vanishing": (z @ q_zz.reshape(q_zz.shape[:-2] + (-1,))).reshape(
+            z.shape[:-1] + q_zz.shape[-2:]
+        ),
         "cubic_reeb_slot": np.concatenate((q_xi + h_sw_phiw, h_sw_phiw + h_sphi_w), axis=-1),
         "info_h_shape_phi": h_sw_phiw,
     }
@@ -489,14 +501,14 @@ def run_suite(
         for fault in batch.pd.faults
     ]
     if gate is not None and not diagnostic:
-        gated = {"j_tangency": batch.pd.tangency, "metric": batch.metric}
+        scores = batch.gate_scores(tol)
         for name, what in _GATES[: 2 if gate == "metric" else 1]:
-            values, _, _, ok = _score({name: gated[name]}, tol)
+            values, _, _, ok = scores[name]
             for idx, (value, passed) in enumerate(zip(values[name], ok)):
                 if reasons[idx] is None and not passed:
                     reasons[idx] = f"gate: {what} (residual {value:.3g})"
     if inverts_h is not None and batch.pd.n >= inverts_h:
-        for idx in np.flatnonzero(h_is_degenerate(batch.ind.h)):
+        for idx in np.flatnonzero(batch.h_degenerate):
             if reasons[idx] is None:
                 reasons[idx] = f"degenerate: {degenerate_metric(batch.ind.h[idx])}"
 

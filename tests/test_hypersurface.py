@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from parageom import jet_space
-from parageom.errors import ChartLeak, DegenerateFrame, GenerationError, ShapeError
+from parageom.errors import ChartLeak, DegenerateFrame, GenerationError, ShapeError, failed
 from parageom.hypersurface import (
     CHART_Q_MIN,
     Frame,
     Polynomial,
+    _validate_quadric_params,
     derive_tensors,
     draw_samples,
     eval_immersion,
+    find_base_point,
     fundamental_residuals,
     graph_scene,
     h_is_degenerate,
@@ -20,6 +22,7 @@ from parageom.hypersurface import (
     perturbed_scene,
     quadric_scene,
     random_graph_scene,
+    tangent_basis,
 )
 from parageom.jets import _jet_space
 from parageom.paracomplex import QuadricSpec, random_quadric_spec
@@ -158,6 +161,59 @@ def test_frame_rejects_singular_columns():
         Frame(space, f, c)
 
 
+def frame_with_value(rng, m, b0):
+    """A Frame of random order-3 jets of f and C whose frame value is ``b0``
+    ``(S, m + 1, m + 1)``."""
+    space = jet_space(m)
+    f = rng.normal(size=b0.shape[:-1] + (space.ncoeff,))
+    c = rng.normal(size=f.shape)
+    f[..., 1 : m + 1] = b0[..., :m]
+    c[..., 0] = b0[..., m]
+    return Frame(space, f, c)
+
+
+@pytest.mark.parametrize("cond", [None, 1e7], ids=["random", "cond1e7"])
+@pytest.mark.parametrize("m", [1, 3, 5, 9])
+def test_decompose_jets_matches_per_sample_solve(m, cond):
+    # The frame decomposes against its one inverse of B0.  Against a
+    # per-sample np.linalg.solve of the same jet system (value first, then
+    # each gradient coefficient), both rebuild v = B x coefficient by
+    # coefficient within c * cond * eps of its terms, and agree within
+    # c * cond * eps of |x|.
+    rng = np.random.default_rng(m)
+    dim = m + 1
+    if cond is None:
+        b0 = rng.normal(size=(6, dim, dim))
+    else:
+        q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        b0 = ((q1 * np.logspace(0, -np.log10(cond), dim)) @ q2.T)[None]
+    fr = frame_with_value(rng, m, b0)
+    assert failed(fr.faults).sum() == 0
+    if cond is not None:
+        assert fr.cond[0] == pytest.approx(cond, rel=1e-6)
+    v = rng.normal(size=b0.shape[:1] + (dim, 7, fr.space.ncoeff))
+    tang, transv = fr.decompose_jets(v)
+    x = np.concatenate([tang, transv[..., None, :, :]], axis=-3)
+
+    b = np.concatenate([fr.tangent_jets, fr.C_jet[..., None, :]], axis=-2)
+    want = np.empty_like(x)
+    for s in range(len(v)):
+        want[s, ..., 0] = np.linalg.solve(b[s, ..., 0], v[s, ..., 0])
+        for c in range(1, fr.space.ncoeff):
+            want[s, ..., c] = np.linalg.solve(b[s, ..., 0], v[s, ..., c] - b[s, ..., c] @ want[s, ..., 0])
+
+    bound = 2 * dim * fr.cond[:, None] * np.finfo(float).eps
+    for y in (x, want):
+        # B x at order 1: B0 x_c, plus B_c x_0 for each gradient coefficient c.
+        back = np.einsum("spq,sqkc->spkc", b[..., 0], y)
+        back[..., 1:] += np.einsum("spqc,sqk->spkc", b[..., 1:], y[..., 0])
+        scale = np.abs(v).max(axis=(1, 2))
+        scale[:, 1:] += np.abs(b[..., 1:]).max(axis=(1, 2)) * np.abs(y[..., 0]).max(axis=(1, 2))[:, None]
+        assert np.all(np.abs(back - v).max(axis=(1, 2)) <= bound * scale)
+    assert np.all(np.abs(x - want).max(axis=(1, 2)) <= bound * np.abs(want).max(axis=(1, 2)))
+
+
 # ----------------------------------------------------------------------
 # induced data
 
@@ -208,6 +264,21 @@ def test_polynomial_powers_match_repeated_products(a):
     if a <= 3:
         # Up to the cube the two product chains coincide.
         assert np.array_equal(got, want)
+
+
+def test_quadric_basis_orthogonality_is_relative_to_a_x0():
+    # |A x0| is about 1e100 here: the derived basis is orthogonal to A x0 up
+    # to rounding of that size, and validates; a basis tilted towards A x0
+    # by 1e-6 still does not.
+    spec = QuadricSpec(n=1, P=np.diag([1e200, -1e200]), R_skew=np.zeros((2, 2)))
+    x0 = find_base_point(spec, np.random.default_rng([0, 1]))
+    basis = tangent_basis(spec, x0)
+    _validate_quadric_params(spec, x0, basis)
+    w = spec.A @ x0
+    tilted = basis.copy()
+    tilted[0] += 1e-6 * w / np.linalg.norm(w)
+    with pytest.raises(ShapeError, match="not orthogonal"):
+        _validate_quadric_params(spec, x0, tilted)
 
 
 def test_perturbed_scene_rejects_n0():

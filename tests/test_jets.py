@@ -383,6 +383,21 @@ def test_matvec_matches_naive_truncated_product(num_vars, order):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim", range(2, 11))
+def test_order1_matvec_matches_naive_product_at_frame_sizes(dim):
+    # The frame's square matrices of order-1 jets: dim = m + 1 for m chart
+    # variables, the sizes the frame decompositions use.
+    rng = np.random.default_rng(200 + dim)
+    space = jet_space(dim - 1, 1)
+    for lead_m, lead_v in KERNEL_LEADS:
+        m = rng.normal(size=lead_m + (dim, dim, space.ncoeff))
+        v = rng.normal(size=lead_v + (dim, 3, space.ncoeff))
+        want = naive_mul(space, m[..., :, :, None, :], v[..., None, :, :, :]).sum(axis=-3)
+        got = space.matvec(m, v)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize(
     "num_vars, order", [(1, 1), (1, 3), (2, 2), (4, 3), (6, 3), (7, 2), (33, 3)]
 )

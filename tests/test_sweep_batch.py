@@ -26,7 +26,10 @@ from parageom.cli import (
     quadric_scene_dict,
     run_verification,
 )
-from parageom.hypersurface import eval_immersion, perturbed_scene
+from parageom import hypersurface
+from parageom.errors import ShapeError
+from parageom.hypersurface import eval_immersion, induced_data, perturbed_scene
+from parageom.jets import MAX_ORDER
 from parageom.paracomplex import random_quadric_spec
 
 DATA = Path(__file__).parent / "data"
@@ -124,3 +127,47 @@ def test_eval_immersion_per_row_epsilon_matches_scalar():
         f_row, c_row = eval_immersion(at, u[row])
         assert np.array_equal(f[row], f_row)
         assert np.array_equal(c[row], c_row)
+
+
+def test_sweep_evaluates_the_immersion_once_per_sample(capsys, monkeypatch):
+    # Only C = f + eps W depends on epsilon: the order-3 jets of f and W are
+    # evaluated at the S samples once, not at every (epsilon, sample) row,
+    # and the table stays the golden one.
+    calls = []
+    real = hypersurface.eval_immersion
+
+    def counted(scene, u, order=MAX_ORDER):
+        calls.append((order, np.shape(u)))
+        return real(scene, u, order)
+
+    monkeypatch.setattr(hypersurface, "eval_immersion", counted)
+    path = DATA / "perturbed_n1.json"
+    num = len(load_scene_file(str(path))[0].samples)
+    calls.clear()
+    lines, code = sweep(capsys, path, GOLDEN_VALUES)
+    assert code == EXIT_PASS
+    assert "\n".join(lines) + "\n" == (DATA / "perturbed_n1.sweep.txt").read_text(encoding="utf-8")
+    assert [shape for order, shape in calls if order == MAX_ORDER] == [(num, 3)]
+
+
+def test_epsilon_column_matches_one_epsilon_per_row():
+    # A column of epsilons over E copies of the stack gives, bit for bit,
+    # the analysis with one epsilon per row; it needs those copies.
+    spec = random_quadric_spec(2, 3)
+    scene = perturbed_scene(spec, 0.1, seed=3, num_samples=4)
+    values = np.array([0.3, 0.0, 1e-6])
+    u = np.concatenate([np.stack(scene.samples)] * len(values))
+    per_row = induced_data(
+        dataclasses.replace(scene, params={**scene.params, "epsilon": np.repeat(values, 4)}), u
+    )
+    column = dataclasses.replace(scene, params={**scene.params, "epsilon": values[:, None]})
+    got = induced_data(column, u)
+    for name in ("Gamma", "h", "S", "tau", "dGamma", "dh", "dS", "dtau_raw"):
+        assert np.array_equal(getattr(got, name), getattr(per_row, name)), name
+    assert list(got.faults) == list(per_row.faults)
+    shuffled = u.copy()
+    shuffled[[4, 5]] = u[[5, 4]]
+    with pytest.raises(ShapeError):
+        induced_data(column, shuffled)
+    with pytest.raises(ShapeError):
+        induced_data(column, u[:-1])

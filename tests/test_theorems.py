@@ -271,6 +271,31 @@ def test_normality_computed_once_per_scene(monkeypatch):
     assert calls[0].shape == (len(scene.samples), scene.chart_dim)
 
 
+def test_gates_and_h_degeneracy_computed_once_per_analysis(monkeypatch):
+    # Every gated battery reads the two gate verdicts, and every battery
+    # that inverts h reads h_is_degenerate, from one evaluation per batch.
+    scores, degeneracy = [], []
+    real_score, real_degenerate = theorems._score, theorems.h_is_degenerate
+
+    def counted_score(residuals, tol):
+        scores.append(list(residuals))
+        return real_score(residuals, tol)
+
+    def counted_degenerate(h):
+        degeneracy.append(h.shape)
+        return real_degenerate(h)
+
+    monkeypatch.setattr(theorems, "_score", counted_score)
+    monkeypatch.setattr(theorems, "h_is_degenerate", counted_degenerate)
+    scene = quadric_scene(random_quadric_spec(1, 98), seed=98, num_samples=6)
+    analyses = analyze_scene(scene)
+    for suite in SCENE_SUITES + ("THM_QUADRIC_CONV",):
+        assert run_suite(scene, suite, analyses=analyses).status == "passed", suite
+    assert scores.count(["j_tangency"]) == 1
+    assert scores.count(["metric"]) == 1
+    assert degeneracy == [(len(scene.samples), 3, 3)]
+
+
 def test_degenerate_h_skips_only_the_batteries_that_invert_it():
     # n = 0: the graph u -> u^3 with C = (0, 1) has h = 0 at u = 0.  THM_EQUIV
     # needs h^{-1} (Levi-Civita) and skips that sample; at n = 0 the
