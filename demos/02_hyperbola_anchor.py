@@ -22,7 +22,6 @@ from parageom import (
     metric_residual,
     sasakian_residual,
 )
-from parageom.paracontact import signature_of
 
 scene = hyperbola_scene(seed=1, num_samples=7)
 print(f"hyperbola scene: {len(scene.samples)} chart points in "
@@ -53,7 +52,7 @@ contact = float(np.max(np.abs(contact_residual(pd, ind.h, -1.0))))
 sasakian = float(np.max(np.abs(sasakian_residual(pd, ind, -1.0))))
 print(f"  structure equations : gauss {gauss:.1e}, codazzi-h {cod_h:.1e}, "
       f"codazzi-S {cod_s:.1e}, ricci {ricci:.1e}")
-print(f"  metric compatibility: {res:.1e}, signature {signature_of(ind.h)} (want (1, 0))")
+print(f"  metric compatibility: {res:.1e}, signature {ind.h_factor.signature} (want (1, 0))")
 print(f"  contact alpha = -1  : {contact:.1e}")
 print(f"  sasakian alpha = -1 : {sasakian:.1e}")
 

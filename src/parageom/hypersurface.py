@@ -47,6 +47,7 @@ Built-in immersion families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .errors import (
     BasePointNotFound,
     ChartLeak,
     DegenerateFrame,
+    DegenerateMetric,
     GenerationError,
     NoAdmissibleSamples,
     ShapeError,
@@ -71,8 +73,8 @@ DEFAULT_SAMPLE_BOX = 0.4
 # Radial charts stay where y'Ay is safely positive.
 CHART_Q_MIN = 0.1
 FRAME_COND_LIMIT = 1e8
-# |det h| below this (relative to max|h|^m) flags the sample as metric-degenerate.
-H_DET_FLOOR = 1e-10
+# An eigenvalue of h within this share of max|eigenvalue| counts as zero (HFactor).
+H_EIG_FLOOR = 1e-5
 # Base-point search: draws, and the least share of the top eigenvalue of A
 # that an accepted direction must realize.
 BASE_POINT_TRIES = 1000
@@ -569,6 +571,55 @@ class InducedData:
     dtau_raw: np.ndarray
     faults: np.ndarray
 
+    @cached_property
+    def h_factor(self) -> HFactor:
+        """h's factor, cached per instance: a ``replace`` copy factors its own h."""
+        return HFactor(self.h)
+
+
+class HFactor:
+    """h's symmetric part as V diag(vals) V^T, for one h or each h of a
+    stack: the one eigendecomposition behind h's degeneracy test, signature,
+    |h| and h^{-1}.  An eigenvalue counts as zero where |lambda| <=
+    ``H_EIG_FLOOR`` max|lambda|, and h is ``degenerate`` where one does or
+    where h is not finite (such an h never reaches ``eigh``).  ``ratio`` is
+    min|lambda| / max|lambda|; ``signature`` counts the non-zero eigenvalues
+    by sign (a tuple for one h).  A degenerate h of a stack carries the
+    identity's eigenpairs; a single one raises its DegenerateMetric in
+    ``inverse`` and ``abs``."""
+
+    def __init__(self, h: np.ndarray):
+        eye = np.eye(h.shape[-1])
+        finite = np.isfinite(h).all(axis=(-2, -1))
+        sym = 0.5 * (h + np.swapaxes(h, -1, -2))
+        vals, vecs = np.linalg.eigh(np.where(finite[..., None, None], sym, eye))
+        vals = np.where(finite[..., None], vals, np.nan)
+        top = np.abs(vals).max(axis=-1)
+        self.ratio = np.abs(vals).min(axis=-1) / np.where(top == 0.0, 1.0, top)
+        thr = H_EIG_FLOOR * top[..., None]
+        counts = np.stack([(vals > thr).sum(-1), (vals < -thr).sum(-1)], -1)
+        self.signature = tuple(int(k) for k in counts) if h.ndim == 2 else counts
+        self.degenerate = counts.sum(-1) < h.shape[-1]
+        self.vals = np.where(self.degenerate[..., None], 1.0, vals)
+        self.vecs = np.where(self.degenerate[..., None, None], eye, vecs)
+
+    def reason(self, idx=()) -> str:
+        """Why the h (of sample ``idx`` of a stack) is degenerate."""
+        return f"h eigenvalue ratio {self.ratio[idx]:.3g} below floor {H_EIG_FLOOR:g}"
+
+    def inverse(self) -> np.ndarray:
+        """h^{-1} = V diag(1 / vals) V^T."""
+        return self._compose(1.0 / self.vals)
+
+    def abs(self) -> np.ndarray:
+        """|h| = V diag(|vals|) V^T, positive definite."""
+        return self._compose(np.abs(self.vals))
+
+    def _compose(self, diag: np.ndarray) -> np.ndarray:
+        if self.vals.ndim == 1 and self.degenerate:
+            raise DegenerateMetric(self.reason())
+        return (self.vecs * diag[..., None, :]) @ np.swapaxes(self.vecs, -1, -2)
+
 
 @dataclass
 class DerivedTensors:
@@ -640,16 +691,6 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
         dtau_raw=transv[..., 1:, npairs:].copy(),
         faults=np.where(outside, faults, frame.faults),
     )
-
-
-def h_is_degenerate(h: np.ndarray):
-    """Whether h is degenerate: |det h| below ``H_DET_FLOOR`` relative to
-    max|h|^m (a bool array over a stack).  The package's one such test;
-    everything that needs h^{-1} reads it."""
-    scale = np.max(np.abs(h), axis=(-2, -1))
-    unit = np.where(scale == 0.0, 1.0, scale)[..., None, None]
-    bad = (scale == 0.0) | (np.abs(np.linalg.det(h / unit)) < H_DET_FLOOR)
-    return bool(bad) if h.ndim == 2 else bad
 
 
 def derive_tensors(ind: InducedData) -> DerivedTensors:

@@ -22,10 +22,10 @@ module measures:
 
 Each residual function returns the raw residual tensor, never its norm:
 ``theorems._score`` alone reduces residuals and compares them with tolerances.
-None of them writes a failure record.  Where one needs h^{-1}, a degenerate
-h raises DegenerateMetric at a single point; a stack uses the identity in its
-place, and ``theorems.run_suite`` skips that sample in every battery that
-inverts h.
+None of them writes a failure record.  Where one needs h^{-1} or |h|
+(``InducedData.h_factor``), a degenerate h raises DegenerateMetric at a
+single point; a stack uses the identity in its place, and
+``theorems.run_suite`` skips that sample in every battery that inverts h.
 
 All exterior derivatives use the convention
 d w(X, Y) = (X(w(Y)) - Y(w(X)) - w([X, Y])) / 2.
@@ -37,15 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame, DegenerateMetric, record_failures
-from .hypersurface import InducedData, h_is_degenerate
+from .errors import DegenerateFrame, record_failures
+from .hypersurface import HFactor, InducedData
 from .paracomplex import apply_J
 
 # Pivot floor for selecting independent spanning fields of ker(eta).
 _DBASIS_PIVOT = 1e-8
-# Relative eigenvalue threshold used when counting a signature (only there:
-# whether h is degenerate is ``h_is_degenerate``'s determinant floor).
-_SIGNATURE_REL = 1e-10
 
 
 @dataclass
@@ -155,16 +152,6 @@ def _kernel_basis_jets(space, n, eta_jets, xi_jets, faults):
     return chosen.reshape(lead + chosen.shape[1:])
 
 
-def signature_of(h: np.ndarray):
-    """Inertia (positives, negatives) of a symmetric matrix by eigenvalue sign
-    count; eigenvalues within ``_SIGNATURE_REL * max|eig|`` of zero count as
-    neither.  A ``(..., m, m)`` stack gives a ``(..., 2)`` integer array."""
-    vals = np.linalg.eigvalsh(0.5 * (h + np.swapaxes(h, -1, -2)))
-    thr = _SIGNATURE_REL * np.abs(vals).max(axis=-1, initial=0.0)[..., None]
-    counts = np.stack([np.sum(vals > thr, axis=-1), np.sum(vals < -thr, axis=-1)], axis=-1)
-    return tuple(int(k) for k in counts) if h.ndim == 2 else counts
-
-
 def metric_residual(pd: ParacontactData, h: np.ndarray) -> np.ndarray:
     """Defect of h(phi X, phi Y) + h(X, Y) - eta(X) eta(Y) over frame pairs."""
     phi = pd.phi
@@ -194,21 +181,6 @@ def axiom_residuals(pd: ParacontactData) -> dict:
     return out
 
 
-def degenerate_metric(h: np.ndarray) -> DegenerateMetric:
-    """The failure of one degenerate h ``(m, m)``."""
-    return DegenerateMetric(f"h determinant {np.linalg.det(h):.3g} below floor")
-
-
-def _invertible(h: np.ndarray) -> np.ndarray:
-    """h, with the identity in place of each h of a stack that
-    ``h_is_degenerate`` (the one degeneracy test); a degenerate single point
-    raises its DegenerateMetric."""
-    bad = h_is_degenerate(h)
-    if h.ndim == 2 and bad:
-        raise degenerate_metric(h)
-    return np.where(np.asarray(bad)[..., None, None], np.eye(h.shape[-1]), h)
-
-
 def normality_residuals(pd: ParacontactData, induced: InducedData):
     """(Nijenhuis defect, operational defect).
 
@@ -231,10 +203,7 @@ def normality_residuals(pd: ParacontactData, induced: InducedData):
 
     if pd.n == 0:
         return nijenhuis, np.zeros(pd.eta.shape[:-1])
-    # |h| as a positive definite matrix: eigenvectors, absolute eigenvalues.
-    h = _invertible(induced.h)
-    vals, vecs = np.linalg.eigh(0.5 * (h + np.swapaxes(h, -1, -2)))
-    habs = (vecs * np.abs(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    habs = induced.h_factor.abs()
     s_t, phi_t, z = np.swapaxes(induced.S, -1, -2), np.swapaxes(phi, -1, -2), pd.D_basis
     # Rows S phi Z_a - phi S Z_a + tau(Z_a) xi.
     tau_z = np.einsum("...ak,...k->...a", z, induced.tau)
@@ -247,21 +216,22 @@ def contact_residual(pd: ParacontactData, h: np.ndarray, alpha: float) -> np.nda
     return pd.d_eta - alpha * (h @ pd.phi)
 
 
-def levi_civita(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    """Christoffel symbols of the (pseudo-)metric h from the Koszul formula.
+def levi_civita(h: HFactor, dh: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of the (pseudo-)metric h, given by its factor,
+    from the Koszul formula.
 
     ``dh[l, i, j]`` is d_l h_{ij}; returns ``G[k, i, j]``, symmetric in (i, j).
     """
-    h_inv = np.linalg.inv(_invertible(h))
+    m = dh.shape[-1]
     t = dh + np.einsum("...lij->...ilj", dh) - np.einsum("...lij->...ijl", dh)
-    m = h.shape[-1]
-    return 0.5 * (h_inv @ np.swapaxes(t.reshape(h.shape[:-2] + (m * m, m)), -1, -2)).reshape(dh.shape)
+    t = t.reshape(dh.shape[:-3] + (m * m, m))
+    return 0.5 * (h.inverse() @ np.swapaxes(t, -1, -2)).reshape(dh.shape)
 
 
 def sasakian_residual(pd: ParacontactData, induced: InducedData, alpha: float) -> np.ndarray:
     """Defect of (nabla-hat_X phi)(Y) = alpha(-h(X, Y) xi + eta(Y) X) over
     frame pairs, with nabla-hat the Levi-Civita connection of h."""
-    g = levi_civita(induced.h, induced.dh)
+    g = levi_civita(induced.h_factor, induced.dh)
     phi = pd.phi
     m = phi.shape[-1]
     # sum_l G[k, i, l] phi[l, j] - phi[k, l] G[l, i, j], as [i, k, j].

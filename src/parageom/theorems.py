@@ -43,11 +43,11 @@ where it is reported vacuous instead of counted.  Theorem hypotheses are
 enforced as numeric gates at the scene's theorem tolerance; diagnostic mode
 disables the gates so negative behaviour can be measured.  A row that inverts
 h names the least n at which it does, and from there ``run_suite`` skips each
-sample whose h ``h_is_degenerate``.  Analysis failures, gate skips and
-degeneracy skips are reported per sample and never silently dropped: a
-``TheoremReport`` keeps ``_score``'s per-sample columns, with None in every
-column but ``skip_reasons`` where a sample was skipped, and its ``to_dict``
-writes those columns under their own names (report version 2).
+sample whose h is degenerate (``InducedData.h_factor``).  Analysis failures,
+gate skips and degeneracy skips are reported per sample and never silently
+dropped: a ``TheoremReport`` keeps ``_score``'s per-sample columns, with None
+in every column but ``skip_reasons`` where a sample was skipped, and its
+``to_dict`` writes those columns under their own names (report version 2).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .hypersurface import (
     ImmersionScene,
     InducedData,
     derive_tensors,
-    h_is_degenerate,
     induced_data,
     quadric_scene,
     residuals_from_data,
@@ -73,12 +72,10 @@ from .paracontact import (
     ParacontactData,
     axiom_residuals,
     contact_residual,
-    degenerate_metric,
     induced_structure,
     metric_residual,
     normality_residuals,
     sasakian_residual,
-    signature_of,
 )
 
 SCENE_SUITES = (
@@ -118,17 +115,16 @@ CONVERSE_TOLERANCES = {
 @dataclass
 class PointAnalysis:
     """Everything the batteries consume, computed once: at one chart point
-    or, with the sample axis in front of every array and ``signature`` an
-    ``(S, 2)`` array, at each point of a stack.  ``pd.faults`` is its
-    failure record.  The lazy quantities below are cached on the instance,
-    so a ``dataclasses.replace`` copy computes them afresh."""
+    or, with the sample axis in front of every array, at each point of a
+    stack.  ``pd.faults`` is its failure record.  The lazy quantities below
+    are cached on the instance, so a ``dataclasses.replace`` copy computes
+    them afresh."""
 
     u: np.ndarray
     ind: InducedData
     der: DerivedTensors
     pd: ParacontactData
     metric: np.ndarray
-    signature: tuple | np.ndarray
     # gate_scores, by tolerance
     _gates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -138,12 +134,6 @@ class PointAnalysis:
         analysis for every battery that reads them; lazy because they need
         h^{-1} at n >= 1."""
         return normality_residuals(self.pd, self.ind)
-
-    @cached_property
-    def h_degenerate(self) -> np.ndarray:
-        """``h_is_degenerate`` of every sample, computed once per analysis
-        for every battery that inverts h."""
-        return h_is_degenerate(self.ind.h)
 
     def gate_scores(self, tol: float) -> dict:
         """``{gate residual: _score of it alone}`` at the tolerance ``tol``,
@@ -167,7 +157,6 @@ def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
         der=der,
         pd=pd,
         metric=metric_residual(pd, ind.h),
-        signature=signature_of(ind.h),
     )
 
 
@@ -417,7 +406,7 @@ def _quadric_fwd_identities(pa: PointAnalysis) -> dict:
 
 def _signature_defect(pa: PointAnalysis) -> np.ndarray:
     n = pa.pd.n
-    return np.where(np.all(np.asarray(pa.signature) == (n + 1, n), axis=-1), 0.0, 1.0)
+    return np.where(np.all(np.asarray(pa.ind.h_factor.signature) == (n + 1, n), axis=-1), 0.0, 1.0)
 
 
 def _metric_identities(pa: PointAnalysis) -> dict:
@@ -508,9 +497,9 @@ def run_suite(
                 if reasons[idx] is None and not passed:
                     reasons[idx] = f"gate: {what} (residual {value:.3g})"
     if inverts_h is not None and batch.pd.n >= inverts_h:
-        for idx in np.flatnonzero(batch.h_degenerate):
+        for idx in np.flatnonzero(batch.ind.h_factor.degenerate):
             if reasons[idx] is None:
-                reasons[idx] = f"degenerate: {degenerate_metric(batch.ind.h[idx])}"
+                reasons[idx] = f"degenerate: {batch.ind.h_factor.reason(idx)}"
 
     report = TheoremReport(theorem_id, tol, "skipped", gate, reasons)
     if None not in reasons:
@@ -527,7 +516,7 @@ def run_suite(
     report.identities = {k: _scored(v, reasons) for k, v in ids.items()}
     report.worst, report.ok = _scored(worst, reasons), _scored(ok, reasons)
     if theorem_id == "THM_QUADRIC_CONV":
-        report.signatures = _scored(batch.signature.tolist(), reasons)
+        report.signatures = _scored(batch.ind.h_factor.signature.tolist(), reasons)
     vac = report.vacuous_identities
     if False in report.ok:
         report.status = "failed"

@@ -255,7 +255,7 @@ def test_acceptance_6_hyperbola_anchor():
         closed_form = {
             "j_tangency": pa.pd.tangency,
             "metric": float(np.max(np.abs(pa.metric))),
-            "signature_defect": 0.0 if pa.signature == (1, 0) else 1.0,
+            "signature_defect": 0.0 if pa.ind.h_factor.signature == (1, 0) else 1.0,
             "s_plus_id": float(np.max(np.abs(pa.ind.S + np.eye(1)))),
             "tau_norm": float(np.max(np.abs(pa.ind.tau))),
             "cubic_max": float(np.max(np.abs(pa.der.Q))),

@@ -62,8 +62,9 @@ def arrays(pa, i=None):
 def assert_same_analysis(batch, i, want, label, j=None):
     """Sample ``i`` of ``batch`` against the single point ``want``, or
     against its sample ``j``."""
-    got_sig = tuple(batch.signature[i].tolist())
-    want_sig = want.signature if j is None else tuple(want.signature[j].tolist())
+    got_sig = tuple(batch.ind.h_factor.signature[i].tolist())
+    want_sig = want.ind.h_factor.signature
+    want_sig = want_sig if j is None else tuple(want_sig[j].tolist())
     assert got_sig == want_sig, label
     a, b = arrays(batch, i), arrays(want, j)
     assert list(a) == list(b), label

@@ -16,7 +16,6 @@ from parageom.hypersurface import (
     find_base_point,
     fundamental_residuals,
     graph_scene,
-    h_is_degenerate,
     hyperbola_scene,
     induced_data,
     perturbed_scene,
@@ -226,7 +225,7 @@ def test_hyperbola_induced_closed_form():
         assert ind.h[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert ind.S[0, 0] == pytest.approx(-1.0, abs=1e-12)
         assert abs(ind.tau[0]) <= 1e-12
-        assert not h_is_degenerate(ind.h)
+        assert not ind.h_factor.degenerate
 
 
 def test_quadric_h_matches_ambient_formula():
@@ -293,7 +292,7 @@ def test_graph_h_is_hessian_and_degeneracy_reported():
     ind = induced_data(scene, scene.samples[0])
     np.testing.assert_allclose(ind.h, np.diag([2.0, -2.0, 0.0]), atol=1e-13)
     np.testing.assert_allclose(ind.Gamma, 0.0, atol=1e-13)
-    assert h_is_degenerate(ind.h)
+    assert ind.h_factor.degenerate
 
 
 def test_random_quadratic_graph_h_equals_hessian():

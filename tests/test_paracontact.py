@@ -9,8 +9,8 @@ from parageom import jet_space
 from parageom.errors import DegenerateMetric
 from parageom.hypersurface import (
     Frame,
+    HFactor,
     eval_immersion,
-    h_is_degenerate,
     hyperbola_scene,
     induced_data,
     perturbed_scene,
@@ -26,7 +26,6 @@ from parageom.paracontact import (
     metric_residual,
     normality_residuals,
     sasakian_residual,
-    signature_of,
 )
 from parageom.theorems import run_suite
 
@@ -203,14 +202,14 @@ def test_quadric_structure_is_metric_with_right_signature():
         for u in scene.samples:
             ind, pd = point_data(scene, u)
             assert max_abs(metric_residual(pd, ind.h)) <= 1e-8
-            assert signature_of(ind.h) == (scene.n + 1, scene.n)
+            assert ind.h_factor.signature == (scene.n + 1, scene.n)
 
 
 def test_hyperbola_metric_residual_zero():
     scene = hyperbola_scene(samples=[[0.5]])
     ind, pd = point_data(scene, scene.samples[0])
     assert max_abs(metric_residual(pd, ind.h)) <= 1e-14
-    assert signature_of(ind.h) == (1, 0)
+    assert ind.h_factor.signature == (1, 0)
 
 
 def test_perturbed_metric_residual_grows_with_epsilon():
@@ -228,8 +227,8 @@ def test_perturbed_metric_residual_grows_with_epsilon():
 
 
 def test_signature_threshold_handles_zero_matrix():
-    assert signature_of(np.zeros((3, 3))) == (0, 0)
-    assert signature_of(np.diag([2.0, -1.0, 1e-15])) == (1, 1)
+    assert HFactor(np.zeros((3, 3))).signature == (0, 0)
+    assert HFactor(np.diag([2.0, -1.0, 1e-15])).signature == (1, 1)
 
 
 def test_d_eta_is_antisymmetrized_eta_gradient():
@@ -325,7 +324,7 @@ def test_d_eta_matches_ambient_formula_on_quadric():
 def test_levi_civita_constant_metric_is_flat():
     h = np.diag([1.0, -1.0, 2.0])
     dh = np.zeros((3, 3, 3))
-    assert np.max(np.abs(levi_civita(h, dh))) == 0.0
+    assert np.max(np.abs(levi_civita(HFactor(h), dh))) == 0.0
 
 
 def test_levi_civita_symmetry_and_compatibility():
@@ -335,9 +334,9 @@ def test_levi_civita_symmetry_and_compatibility():
     ]:
         for u in scene.samples:
             ind = induced_data(scene, u)
-            if h_is_degenerate(ind.h):
+            if ind.h_factor.degenerate:
                 continue
-            g = levi_civita(ind.h, ind.dh)
+            g = levi_civita(ind.h_factor, ind.dh)
             np.testing.assert_array_equal(g, g.transpose(0, 2, 1))
             # h is parallel for its own Levi-Civita connection.
             nabla_h = (
@@ -350,7 +349,7 @@ def test_levi_civita_symmetry_and_compatibility():
 
 def test_levi_civita_rejects_singular_h():
     with pytest.raises(DegenerateMetric):
-        levi_civita(np.diag([1.0, 0.0, 1.0]), np.zeros((3, 3, 3)))
+        levi_civita(HFactor(np.diag([1.0, 0.0, 1.0])), np.zeros((3, 3, 3)))
 
 
 def test_quadric_sasakian_alpha_minus_one():
@@ -413,12 +412,12 @@ def test_structure_report_on_quadric():
     scene = quadric_scene(spec, seed=74, num_samples=3)
     ind, pd = point_data(scene, scene.samples[0])
     assert max_abs(metric_residual(pd, ind.h)) <= 1e-8
-    assert signature_of(ind.h) == (2, 1)
+    assert ind.h_factor.signature == (2, 1)
     assert pd.tangency <= 1e-10
     assert max_abs(contact_residual(pd, ind.h, -1.0)) <= 1e-8
     assert max_abs(contact_residual(pd, ind.h, 1.0)) > 1e-3
     assert max_abs(sasakian_residual(pd, ind, -1.0)) <= 1e-6
-    assert not h_is_degenerate(ind.h)
+    assert not ind.h_factor.degenerate
 
 
 def test_structure_report_degenerate_h_flag():
@@ -427,9 +426,9 @@ def test_structure_report_degenerate_h_flag():
     g = Polynomial(1, [((2,), 0.0)])  # flat line: h = 0
     scene = graph_scene(g, samples=[[0.1]])
     ind, pd = point_data(scene, scene.samples[0])
-    assert h_is_degenerate(ind.h)
+    assert ind.h_factor.degenerate
     with pytest.raises(DegenerateMetric):
-        levi_civita(ind.h, ind.dh)
+        levi_civita(ind.h_factor, ind.dh)
     with pytest.raises(DegenerateMetric):
         sasakian_residual(pd, ind, -1.0)
     # The battery that needs h^{-1} skips the sample instead of failing it.
@@ -438,15 +437,38 @@ def test_structure_report_degenerate_h_flag():
     assert report.skip_reasons[0].startswith("degenerate:")
 
 
-@pytest.mark.parametrize("small, degenerate", [(1e-6, True), (1e-3, False)])
-def test_one_degeneracy_verdict_for_inverse_and_abs_norm(small, degenerate):
-    # h = diag(1, s, -s) has |det h| / max|h|^3 = s^2: below the 1e-10 floor
-    # at s = 1e-6 although its smallest eigenvalue is 1e-6 of the largest.
-    # The Levi-Civita inverse and the |h| norm of the operational normality
-    # defect must agree with h_is_degenerate.
-    scene = quadric_scene(random_quadric_spec(1, 76), seed=76, num_samples=1)
+def conditioned_h(m):
+    """A symmetric h of size m with eigenvalues of alternating sign from 1
+    down to 10^-2.5 in magnitude, in a random orthonormal basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(m).standard_normal((m, m)))
+    return (q * (np.logspace(0, -2.5, m) * (-1.0) ** np.arange(m))) @ q.T
+
+
+@pytest.mark.parametrize(
+    "n, h, degenerate",
+    [
+        (1, np.diag([1.0, 1e-6, -1e-6]), True),
+        (1, np.diag([1.0, 1e-3, -1e-3]), False),
+        (1, np.diag([1.0, np.nan, -1.0]), True),
+        (12, conditioned_h(25), False),
+        (16, conditioned_h(33), False),
+    ],
+    ids=["1e-06-True", "0.001-False", "nan-True", "m25-False", "m33-False"],
+)
+def test_one_degeneracy_verdict_for_inverse_and_abs_norm(n, h, degenerate):
+    # h = diag(1, s, -s) has eigenvalue ratio s: below the 1e-5 floor at
+    # s = 1e-6, above it at s = 1e-3.  A non-finite h is degenerate.  A
+    # well-conditioned h at m = 25 and 33 is not, though its determinant
+    # relative to max|h|^m is below 1e-10, so a determinant test that does
+    # not scale with m would call it degenerate.  The Levi-Civita inverse and
+    # the |h| norm of the operational normality defect must agree with
+    # HFactor.
+    m = h.shape[-1]
+    if m > 3:
+        assert np.linalg.cond(h) <= 1e3
+        assert abs(np.linalg.det(h / np.abs(h).max())) < 1e-10
+    scene = quadric_scene(random_quadric_spec(n, 76), seed=76, num_samples=1)
     ind, pd = point_data(scene, scene.samples[0])
-    h = np.diag([1.0, small, -small])
 
     def raises(fn, *args):
         try:
@@ -455,6 +477,6 @@ def test_one_degeneracy_verdict_for_inverse_and_abs_norm(small, degenerate):
             return True
         return False
 
-    assert h_is_degenerate(h) == degenerate
-    assert raises(levi_civita, h, np.zeros((3, 3, 3))) == degenerate
+    assert HFactor(h).degenerate == degenerate
+    assert raises(levi_civita, HFactor(h), np.zeros((m, m, m))) == degenerate
     assert raises(normality_residuals, pd, replace(ind, h=h)) == degenerate

@@ -272,28 +272,30 @@ def test_normality_computed_once_per_scene(monkeypatch):
 
 
 def test_gates_and_h_degeneracy_computed_once_per_analysis(monkeypatch):
-    # Every gated battery reads the two gate verdicts, and every battery
-    # that inverts h reads h_is_degenerate, from one evaluation per batch.
-    scores, degeneracy = [], []
-    real_score, real_degenerate = theorems._score, theorems.h_is_degenerate
+    # Every gated battery reads the two gate verdicts from one evaluation
+    # per batch, and everything that reads h's degeneracy, signature, |h| or
+    # h^{-1}, in theorems and paracontact alike, reads one eigendecomposition
+    # of h per batch: every battery of a verify makes one eigh call in all.
+    scores, factored = [], []
+    real_score, real_eigh = theorems._score, np.linalg.eigh
 
     def counted_score(residuals, tol):
         scores.append(list(residuals))
         return real_score(residuals, tol)
 
-    def counted_degenerate(h):
-        degeneracy.append(h.shape)
-        return real_degenerate(h)
+    def counted_eigh(a):
+        factored.append(a.shape)
+        return real_eigh(a)
 
     monkeypatch.setattr(theorems, "_score", counted_score)
-    monkeypatch.setattr(theorems, "h_is_degenerate", counted_degenerate)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     scene = quadric_scene(random_quadric_spec(1, 98), seed=98, num_samples=6)
     analyses = analyze_scene(scene)
-    for suite in SCENE_SUITES + ("THM_QUADRIC_CONV",):
+    for suite in theorems._BATTERIES:
         assert run_suite(scene, suite, analyses=analyses).status == "passed", suite
     assert scores.count(["j_tangency"]) == 1
     assert scores.count(["metric"]) == 1
-    assert degeneracy == [(len(scene.samples), 3, 3)]
+    assert factored == [(len(scene.samples), 3, 3)]
 
 
 def test_degenerate_h_skips_only_the_batteries_that_invert_it():
@@ -304,7 +306,7 @@ def test_degenerate_h_skips_only_the_batteries_that_invert_it():
     scene = graph_scene(Polynomial(1, [((3,), 1.0)]), samples=[[0.0], [0.5]])
     equiv = run_suite(scene, "THM_EQUIV", diagnostic=True)
     assert equiv.skip_reasons == [
-        "degenerate: h determinant 0 below floor",
+        "degenerate: h eigenvalue ratio 0 below floor 1e-05",
         None,
     ]
     for suite in ("PROP_NORMAL", "METRIC"):
@@ -312,32 +314,33 @@ def test_degenerate_h_skips_only_the_batteries_that_invert_it():
         assert report.num_skipped == 0, suite
     assert run_suite(scene, "PROP_NORMAL", diagnostic=True).status == "passed"
 
-    # n = 1: one sample's h made degenerate (|det h| / max|h|^3 = 1e-12)
-    # skips that sample alone in every battery that needs h^{-1}, and leaves
-    # its neighbours' identities as they were.
+    # n = 1: one sample's h made degenerate (eigenvalue ratio 1e-6, or not
+    # finite) skips that sample alone in every battery that needs h^{-1},
+    # and leaves its neighbours' identities as they were.
     scene = quadric_scene(random_quadric_spec(1, 130), seed=130, num_samples=3)
     batch = analyze_scene(scene)
-    h = batch.ind.h.copy()
-    h[1] = np.diag([1.0, 1e-6, -1e-6])
-    bad = replace(batch, ind=replace(batch.ind, h=h))
-    # Every body is pure: the degenerate h is a skip of run_suite, never a
-    # failure a body writes into the analysis record.
-    for theorem_id, (body, *_) in theorems._BATTERIES.items():
-        body(bad)
-        assert list(bad.pd.faults) == [None] * 3, theorem_id
-    # THM_EQUIV first: PROP_NORMAL then reads the normality it cached.
-    for suite in ("THM_EQUIV", "PROP_NORMAL", "THM_QUADRIC_CONV"):
-        got = run_suite(scene, suite, analyses=bad)
-        want = run_suite(scene, suite, analyses=batch)
-        assert got.skip_reasons == [
-            None,
-            "degenerate: h determinant -1e-12 below floor",
-            None,
-        ], suite
-        assert want.num_skipped == 0, suite
-        for i in (0, 2):
-            assert row(got, i) == row(want, i), (suite, i)
-    assert run_suite(scene, "METRIC", analyses=bad).num_skipped == 0
+    for bad_h, ratio in ((np.diag([1.0, 1e-6, -1e-6]), "1e-06"), (np.full((3, 3), np.nan), "nan")):
+        h = batch.ind.h.copy()
+        h[1] = bad_h
+        bad = replace(batch, ind=replace(batch.ind, h=h))
+        # Every body is pure: the degenerate h is a skip of run_suite, never
+        # a failure a body writes into the analysis record.
+        for theorem_id, (body, *_) in theorems._BATTERIES.items():
+            body(bad)
+            assert list(bad.pd.faults) == [None] * 3, (ratio, theorem_id)
+        # THM_EQUIV first: PROP_NORMAL then reads the normality it cached.
+        for suite in ("THM_EQUIV", "PROP_NORMAL", "THM_QUADRIC_CONV"):
+            got = run_suite(scene, suite, analyses=bad)
+            want = run_suite(scene, suite, analyses=batch)
+            assert got.skip_reasons == [
+                None,
+                f"degenerate: h eigenvalue ratio {ratio} below floor 1e-05",
+                None,
+            ], (ratio, suite)
+            assert want.num_skipped == 0, suite
+            for i in (0, 2):
+                assert row(got, i) == row(want, i), (ratio, suite, i)
+        assert run_suite(scene, "METRIC", analyses=bad).num_skipped == 0, ratio
 
 
 @pytest.mark.parametrize("theorem_id", list(theorems._BATTERIES))
