@@ -35,6 +35,8 @@ Built-in immersion families:
 * ``hyperbola``             — (cosh t, sinh t) with the position transversal.
 * ``quadric_radial``        — x(u) = y/sqrt(y'Ay), y = x0 + sum u^i v_i, on a
                               centered quadric x'Ax = 1, transversal C = x.
+                              y'Ay and f = y s, s = (y'Ay)^(-1/2), are
+                              products with the affine y (``affine_mul``).
 * ``perturbed_transversal`` — same immersion, C = x + eps * W with W a field
                               tangent to the J-invariant distribution, so C
                               stays J-tangent but the structure degrades
@@ -421,21 +423,28 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
         spec: QuadricSpec = scene.params["quadric"]
         x0 = scene.params["base_point"]
         basis = scene.params["basis"]
+        # y and Ay are affine in u, so q = y'Ay is a product of degree 2,
+        # taken on the k leading coefficients (those of degree <= 2).
         y = space.const(x0) + np.einsum("ir,...ic->...rc", basis, seeds)
-        ay = np.einsum("rs,...sc->...rc", spec.A, y)
-        q = space.mul(y, ay).sum(axis=-2)
-        f = space.mul(y, space.inv(space.sqrt(q))[..., None, :])
+        k = (m + 1) * (m + 2) // 2
+        ay = np.einsum("rs,...sc->...rc", spec.A, y[..., :k])
+        q = np.zeros(u.shape[:-1] + (space.ncoeff,))
+        q[..., :k] = space.affine_mul(y[..., None, :], ay).sum(axis=(-3, -2))
+        # s = q^(-1/2) about q0, r = q0^(-1/2); products, not powers, so a
+        # row of a stack rounds as a single point does.
+        r = 1.0 / np.sqrt(q[..., 0])
+        t = r * r
+        s = space.compose(q, r, -0.5 * r * t, 0.375 * r * t * t, -0.3125 * r * t * t * t)
+        f = space.affine_mul(y, s)
         if scene.family == "quadric_radial":
             return f, f.copy()
         eps = np.asarray(scene.params["epsilon"])[..., None, None]
         w = scene.params["direction"]
-        aw = spec.A @ w
-        ajw = spec.A @ apply_J(w)
-        s1 = aw @ f
-        s2 = ajw @ f
-        w_field = space.const(w) - space.mul(s1[..., None, :], f) - space.mul(
-            s2[..., None, :], apply_J(f, axis=-2)
-        )
+        s1 = np.einsum("r,...rc->...c", spec.A @ w, f)
+        s2 = np.einsum("r,...rc->...c", spec.A @ apply_J(w), f)
+        # W = w - s1 f - s2 J f, with s1 f = y (s1 s) and s2 J f = J y (s2 s).
+        w_field = space.const(w) - space.affine_mul(y, space.mul(s1, s))
+        w_field -= space.affine_mul(apply_J(y, axis=-2), space.mul(s2, s))
         c = f + eps * w_field
         return np.broadcast_to(f, c.shape), c
 

@@ -30,7 +30,9 @@ constant coefficient ``a0*b0``, are broadcasts; at order 1 they are the
 whole product.  The pairs of two non-constant factors (order >= 2 only) are
 gathered in a table sorted by destination coefficient and summed with one
 ``np.add.reduceat`` along the coefficient axis.  No dense pairs x ncoeff
-scatter matrix exists.
+scatter matrix exists.  ``affine_mul``, for a factor of degree <= 1 (the
+radial chart's y = x0 + V u), needs no pairs: one matmul of that factor's
+gradient with the other factor's shifted coefficients.
 
 Truncation caveat: differentiating a jet shifts coefficients down one order,
 so the result carries exact data only up to degree ``order - k`` after ``k``
@@ -117,6 +119,10 @@ class JetSpace:
             [[self.index[b[:i] + (b[i] + 1,) + b[i + 1 :]] for b in low] for i in range(num_vars)]
         )
         self._d_fac = np.array([[b[i] + 1.0 for b in low] for i in range(num_vars)])
+        # Shift tables, the inverse of ``_d_src``: ``_shift_src[i, alpha]`` is
+        # the position of alpha - e_i, or -1 (a zero pad) where alpha_i = 0.
+        self._shift_src = np.full((num_vars, self.ncoeff), -1)
+        self._shift_src[np.arange(num_vars)[:, None], self._d_src] = np.arange(len(low))
 
     # ------------------------------------------------------------------
     # constructors
@@ -161,6 +167,18 @@ class JetSpace:
             pairs = a[..., self._mul_left] * b[..., self._mul_right]
             out[..., self.num_vars + 1 :] += np.add.reduceat(pairs, self._mul_starts, axis=-1)
         return out
+
+    def affine_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products ``a_k * b`` of jets ``a`` ``(..., K, ncoeff)`` of degree
+        <= 1 (only their leading ``num_vars + 1`` coefficients are read) with
+        one jet ``b`` ``(..., ncoeff)``: ``a0 b + grad(a) @ shift(b)``, where
+        row i of ``shift(b)`` is b's coefficients moved up by e_i.  ``b`` may
+        be truncated to its coefficients of degree <= p (a prefix of the
+        layout); the product is then truncated alike, exact to degree p."""
+        k = b.shape[-1]
+        padded = np.concatenate([b, np.zeros(b.shape[:-1] + (1,))], axis=-1)
+        shift = padded[..., self._shift_src[:, :k]]
+        return a[..., :1] * b[..., None, :] + a[..., 1 : self.num_vars + 1] @ shift
 
     def matvec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jet matrix ``(..., p, q, ncoeff)`` times a stack of K jet vectors

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame, record_failures
+from .errors import DegenerateFrame, failed, record_failures
 from .hypersurface import HFactor, InducedData
 from .paracomplex import apply_J
 
@@ -92,7 +92,7 @@ def induced_structure(induced: InducedData) -> ParacontactData:
     deta = np.moveaxis(space.grad(eta_jets), -1, -2)  # [..., l, i]
     d_eta = 0.5 * (deta - np.swapaxes(deta, -1, -2))
     faults = induced.faults.copy()
-    dbasis_jets = _kernel_basis_jets(space, induced.n, eta_jets, xi_jets, faults)
+    basis, dbasis = _kernel_basis_jets(induced.n, eta_jets, xi_jets, faults)
 
     return ParacontactData(
         n=induced.n,
@@ -100,56 +100,69 @@ def induced_structure(induced: InducedData) -> ParacontactData:
         eta=eta_jets[..., 0],
         phi=phi_jets[..., 0],
         d_eta=d_eta,
-        D_basis=dbasis_jets[..., 0],
+        D_basis=basis,
         tangency=np.abs(rho[..., 0]),
         dxi=np.swapaxes(space.grad(xi_jets), -1, -2),
         deta=deta,
         dphi=np.moveaxis(space.grad(phi_jets), -1, -3),
-        dbasis=space.grad(dbasis_jets),
+        dbasis=dbasis,
         faults=faults,
     )
 
 
-def _kernel_basis_jets(space, n, eta_jets, xi_jets, faults):
-    """2n orthonormal jet fields spanning ker(eta), per sample.
+def _kernel_basis_jets(n, eta_jets, xi_jets, faults):
+    """2n orthonormal fields spanning ker(eta) and their chart derivatives,
+    per sample: ``(D_basis, dbasis)``, ``dbasis[a, k, l]`` = d_l Z_a^k.
 
-    Starts from the projections Z_i = e_i - eta_i xi (smooth in u), then runs
-    modified Gram-Schmidt in jet arithmetic with pivots chosen by the value
-    norm at the point, so the selected combination is locally constant and
-    the resulting fields stay jet-differentiable.  Each sample picks its own
-    pivot; one whose best candidate falls below the pivot floor gets a
-    DegenerateFrame in ``faults`` and a unit vector in its place.
+    The candidates Z_i = e_i - eta_i xi are smooth in u.  The pivots are
+    those of modified Gram-Schmidt on their values (the largest residual
+    norm first), so the selected combination is locally constant.  The basis
+    is the Q of one QR of the selected candidates A, with R's diagonal made
+    positive; its derivative is dQ = dA R^-1 - Q (X - Omega), with
+    X = Q^T dA R^-1 and Omega = tril(X, -1) - tril(X, -1)^T.  A sample whose
+    best candidate falls below the pivot floor gets a DegenerateFrame in
+    ``faults``; every failed sample takes the unit vectors of its pivots as A.
     """
-    m = space.num_vars
+    m = eta_jets.shape[-2]
     want = 2 * n
     lead = eta_jets.shape[:-2]
-    eta_jets = eta_jets.reshape(-1, m, space.ncoeff)
-    xi_jets = xi_jets.reshape(-1, m, space.ncoeff)
-    samples = np.arange(len(eta_jets))
-    cand = np.zeros((len(samples), m, m, space.ncoeff))
-    cand[:, np.arange(m), np.arange(m), 0] = 1.0
-    cand -= space.mul(eta_jets[:, :, None, :], xi_jets[:, None, :, :])
+    eta = eta_jets.reshape(-1, m, m + 1)
+    xi = xi_jets.reshape(-1, m, m + 1)
+    samples = np.arange(len(eta))
+    # Candidate rows Z_i^k and their derivatives dZ[i, k, l], by the product rule.
+    cand = np.eye(m) - eta[:, :, None, 0] * xi[:, None, :, 0]
+    dcand = -(eta[:, :, None, 1:] * xi[:, None, :, :1] + eta[:, :, None, :1] * xi[:, None, :, 1:])
 
-    chosen = np.zeros((len(samples), want, m, space.ncoeff))
+    pivots = np.zeros((len(samples), want), dtype=np.intp)
     used = np.zeros((len(samples), m), dtype=bool)
-    unit = space.const(np.eye(m))
+    residual = cand
     for step in range(want):
-        norms = np.where(used, -np.inf, np.linalg.norm(cand[..., 0], axis=-1))
+        norms = np.where(used, -np.inf, np.linalg.norm(residual, axis=-1))
         best = np.argmax(norms, axis=-1)
-        low = record_failures(
+        record_failures(
             faults,
             (norms[samples, best] < _DBASIS_PIVOT).reshape(lead),
             lambda k: DegenerateFrame("cannot span ker(eta): residual candidates below pivot floor"),
-        ).reshape(-1)
+        )
         used[samples, best] = True
-        v = np.where(low[:, None, None], unit[best], cand[samples, best])
-        norm_jet = space.sqrt(space.mul(v, v).sum(axis=-2))
-        v = space.div(v, norm_jet[:, None, :])
-        chosen[:, step] = v
+        pivots[:, step] = best
+        v = residual[samples, best] / np.maximum(norms[samples, best], _DBASIS_PIVOT)[:, None]
         # Used candidates are projected too, but never read again.
-        coef = space.mul(cand, v[:, None]).sum(axis=-2)
-        cand = cand - space.mul(coef[..., None, :], v[:, None])
-    return chosen.reshape(lead + chosen.shape[1:])
+        residual = residual - (residual @ v[:, :, None]) * v[:, None, :]
+
+    bad = failed(faults).reshape(-1, 1, 1)
+    rows = samples[:, None], pivots
+    q, r = np.linalg.qr(np.swapaxes(np.where(bad, np.eye(m)[pivots], cand[rows]), -1, -2))
+    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    q, r = q * sign[:, None, :], r * sign[:, :, None]
+    # dA R^-1 as one (m, 2n) matrix per chart direction l.
+    da = np.where(bad[..., None], 0.0, dcand[rows])
+    c = np.transpose(da, (0, 3, 2, 1)) @ np.linalg.inv(r)[:, None]
+    x = np.swapaxes(q, -1, -2)[:, None] @ c
+    below = np.tril(x, -1)
+    dq = c - q[:, None] @ (x - below + np.swapaxes(below, -1, -2))
+    basis = np.swapaxes(q, -1, -2).reshape(lead + (want, m))
+    return basis, np.transpose(dq, (0, 3, 2, 1)).reshape(lead + (want, m, m))
 
 
 def metric_residual(pd: ParacontactData, h: np.ndarray) -> np.ndarray:

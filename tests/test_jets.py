@@ -398,6 +398,32 @@ def test_order1_matvec_matches_naive_product_at_frame_sizes(dim):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+def assert_relative(got, want, rtol):
+    assert got.shape == want.shape
+    gap = float(np.max(np.abs(got - want), initial=0.0))
+    assert gap <= rtol * float(np.max(np.abs(want))), gap
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("num_vars", [1, 3, 9, 17])
+def test_affine_mul_matches_general_product(num_vars, order):
+    # mul is the oracle: a vector of affine jets times one jet, at a single
+    # point and on stacks, and b truncated to a prefix of the layout.
+    rng = np.random.default_rng(300 + 10 * num_vars + order)
+    space = jet_space(num_vars, order)
+    for lead in [(), (4,), (2, 3)]:
+        a = np.zeros(lead + (5, space.ncoeff))
+        a[..., : num_vars + 1] = rng.normal(size=lead + (5, num_vars + 1))
+        b = rng.normal(size=lead + (space.ncoeff,))
+        want = space.mul(a, b[..., None, :])
+        assert_relative(space.affine_mul(a, b), want, 1e-14)
+        for degree in range(order):
+            k = math.comb(num_vars + degree, degree)
+            head = np.where(np.arange(space.ncoeff) < k, b, 0.0)
+            want = space.mul(a, head[..., None, :])[..., :k]
+            assert_relative(space.affine_mul(a, b[..., :k]), want, 1e-14)
+
+
 @pytest.mark.parametrize(
     "num_vars, order", [(1, 1), (1, 3), (2, 2), (4, 3), (6, 3), (7, 2), (33, 3)]
 )

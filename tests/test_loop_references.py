@@ -1,21 +1,31 @@
-"""The loop-free ker(eta) batteries against their pair-loop references.
+"""Fast paths against the plain formulas they replaced.
 
 COR_WZORY, LEM_CUBIC and the operational normality defect contract the whole
 ker(eta) basis at once.  The references below evaluate the same identities
 one basis field (or one pair of fields) at a time, as plain per-vector
 formulas; both must agree to rounding on every scene family.
+
+The radial immersion and its perturbed transversal are evaluated with affine
+products and the ker(eta) basis by one QR with a closed-form derivative; the
+references keep the general jet products and the modified Gram-Schmidt in
+jet arithmetic that they replaced.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from parageom import paracontact
 from parageom.hypersurface import (
+    eval_immersion,
     hyperbola_scene,
     perturbed_scene,
     quadric_scene,
     random_graph_scene,
 )
-from parageom.paracomplex import random_quadric_spec
+from parageom.jets import jet_space
+from parageom.paracomplex import apply_J, random_quadric_spec
 from parageom.paracontact import normality_residuals
 from parageom.theorems import (
     _cor_wzory_identities,
@@ -129,6 +139,51 @@ def reference_operational_defect(pd, ind):
     return worst
 
 
+def reference_eval_immersion(scene, u):
+    """f and C of a radial chart by general jet products:
+    f = y sqrt(y'Ay)^-1 and W = w - (Aw . f) f - (AJw . f) J f."""
+    space = jet_space(scene.chart_dim)
+    spec = scene.params["quadric"]
+    seeds = space.seeds(u)
+    y = space.const(scene.params["base_point"]) + np.einsum(
+        "ir,...ic->...rc", scene.params["basis"], seeds
+    )
+    ay = np.einsum("rs,...sc->...rc", spec.A, y)
+    q = space.mul(y, ay).sum(axis=-2)
+    f = space.mul(y, space.inv(space.sqrt(q))[..., None, :])
+    if scene.family == "quadric_radial":
+        return f, f
+    eps = np.asarray(scene.params["epsilon"])[..., None, None]
+    w = scene.params["direction"]
+    s1 = (spec.A @ w) @ f
+    s2 = (spec.A @ apply_J(w)) @ f
+    w_field = space.const(w) - space.mul(s1[..., None, :], f) - space.mul(
+        s2[..., None, :], apply_J(f, axis=-2)
+    )
+    return f, f + eps * w_field
+
+
+def reference_kernel_basis(n, eta_jets, xi_jets):
+    """(pivots, basis jets) of modified Gram-Schmidt in jet arithmetic on
+    the candidates e_i - eta_i xi, pivoting on residual value norms."""
+    m = eta_jets.shape[-1] - 1
+    space = jet_space(m, 1)
+    cand = space.const(np.eye(m)) - space.mul(eta_jets[:, None, :], xi_jets[None, :, :])
+    used = np.zeros(m, dtype=bool)
+    pivots, chosen = [], []
+    for _ in range(2 * n):
+        norms = np.where(used, -np.inf, np.linalg.norm(cand[..., 0], axis=-1))
+        best = int(np.argmax(norms))
+        used[best] = True
+        v = cand[best]
+        v = space.div(v, space.sqrt(space.mul(v, v).sum(axis=-2))[None, :])
+        pivots.append(best)
+        chosen.append(v)
+        coef = space.mul(cand, v[None]).sum(axis=-2)
+        cand = cand - space.mul(coef[:, None, :], v[None])
+    return pivots, np.array(chosen).reshape(2 * n, m, m + 1)
+
+
 def scenes():
     yield "hyperbola", hyperbola_scene(seed=90, num_samples=3)
     for n in range(5):
@@ -173,3 +228,67 @@ def test_batteries_match_pair_loop_references(label, scene):
         got = float(np.max(np.abs(operational[i])))
         want = 0.0 if pa.pd.n == 0 else reference_operational_defect(pa.pd, pa.ind)
         assert abs(got - want) <= TOL, (label, got, want)
+
+
+RADIAL = [(label, s) for label, s in SCENES if s.family in ("quadric_radial", "perturbed_transversal")]
+
+
+def assert_close(got, want, rtol, label):
+    assert got.shape == want.shape, label
+    gap = float(np.max(np.abs(got - want)))
+    assert gap <= rtol * float(np.max(np.abs(want))), (label, gap)
+
+
+@pytest.mark.parametrize("label,scene", RADIAL, ids=[label for label, _ in RADIAL])
+def test_affine_immersion_products_match_general_products(label, scene):
+    u = np.stack(scene.samples)
+    f, c = eval_immersion(scene, u)
+    want_f, want_c = reference_eval_immersion(scene, u)
+    assert_close(f, want_f, 1e-14, label)
+    assert_close(c, want_c, 1e-14, label)
+    for i, point in enumerate(u):
+        f1, c1 = eval_immersion(scene, point)
+        np.testing.assert_array_equal(f1, f[i])
+        np.testing.assert_array_equal(c1, c[i])
+    if scene.family == "perturbed_transversal":
+        # A column of epsilons against the stack: (E, S, ...) at once.
+        column = np.array([0.3, 0.0, 1e-6, 2.5])[:, None]
+        swept = dataclasses.replace(scene, params={**scene.params, "epsilon": column})
+        f, c = eval_immersion(swept, u)
+        want_f, want_c = reference_eval_immersion(swept, u)
+        assert c.shape == (len(column),) + want_f.shape[-3:]
+        assert_close(f, np.broadcast_to(want_f, f.shape), 1e-14, label)
+        assert_close(c, want_c, 1e-14, label)
+
+
+@pytest.mark.parametrize("label,scene", SCENES, ids=[label for label, _ in SCENES])
+def test_kernel_basis_matches_jet_gram_schmidt(label, scene, monkeypatch):
+    # The QR sees the candidates in the reference's pivot order, and its
+    # basis and closed-form derivative are the Gram-Schmidt jets'.
+    selected = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        selected.append(a)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(paracontact.np.linalg, "qr", spy)
+    pd = analyze_scene(scene).pd
+    monkeypatch.undo()
+    assert all(fault is None for fault in pd.faults), pd.faults
+    (a,) = selected
+    n, m = pd.n, pd.eta.shape[-1]
+    eta_jets = np.concatenate([pd.eta[..., None], np.swapaxes(pd.deta, -1, -2)], axis=-1)
+    xi_jets = np.concatenate([pd.xi[..., None], np.swapaxes(pd.dxi, -1, -2)], axis=-1)
+    for i in range(len(pd.eta)):
+        pivots, jets = reference_kernel_basis(n, eta_jets[i], xi_jets[i])
+        cand = np.eye(m) - pd.eta[i][:, None] * pd.xi[i][None, :]
+        np.testing.assert_array_equal(a[i].T, cand[pivots])
+        z, dz = pd.D_basis[i], pd.dbasis[i]
+        assert z.shape == (2 * n, m) and dz.shape == (2 * n, m, m), label
+        assert float(np.max(np.abs(z - jets[..., 0]), initial=0.0)) <= TOL, label
+        assert float(np.max(np.abs(dz - jets[..., 1:]), initial=0.0)) <= TOL, label
+        gram = z @ z.T
+        dgram = np.einsum("akl,bk->abl", dz, z) + np.einsum("ak,bkl->abl", z, dz)
+        assert float(np.max(np.abs(gram - np.eye(2 * n)), initial=0.0)) <= TOL, label
+        assert float(np.max(np.abs(dgram), initial=0.0)) <= TOL, label
