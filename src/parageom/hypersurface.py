@@ -412,10 +412,9 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
             raise fault
     m = scene.chart_dim
     space = jet_space(m, order)
-    seeds = space.seeds(u)
 
     if scene.family == "hyperbola":
-        t = seeds[..., 0, :]
+        t = space.seeds(u)[..., 0, :]
         f = np.stack([space.cosh(t), space.sinh(t)], axis=-2)
         return f, f.copy()
 
@@ -423,11 +422,13 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
         spec: QuadricSpec = scene.params["quadric"]
         x0 = scene.params["base_point"]
         basis = scene.params["basis"]
-        # y and Ay are affine in u, so q = y'Ay is a product of degree 2,
-        # taken on the k leading coefficients (those of degree <= 2).
-        y = space.const(x0) + np.einsum("ir,...ic->...rc", basis, seeds)
-        k = (m + 1) * (m + 2) // 2
-        ay = np.einsum("rs,...sc->...rc", spec.A, y[..., :k])
+        # y = x0 + V u and Ay are affine: order-1 jets, m + 1 coefficients.  So
+        # q = y'Ay is a product of degree 2, on its k leading coefficients.
+        lin = jet_space(m, 1)
+        y = lin.const(x0) + np.einsum("ir,...ic->...rc", basis, lin.seeds(u))
+        k = min((m + 1) * (m + 2) // 2, space.ncoeff)
+        ay = np.zeros(y.shape[:-1] + (k,))
+        ay[..., : m + 1] = np.einsum("rs,...sc->...rc", spec.A, y)
         q = np.zeros(u.shape[:-1] + (space.ncoeff,))
         q[..., :k] = space.affine_mul(y[..., None, :], ay).sum(axis=(-3, -2))
         # s = q^(-1/2) about q0, r = q0^(-1/2); products, not powers, so a
@@ -450,6 +451,7 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
 
     # explicit_graph
     graph: Polynomial = scene.params["graph"]
+    seeds = space.seeds(u)
     f = np.zeros(u.shape[:-1] + (m + 1, space.ncoeff))
     f[..., :m, :] = seeds
     f[..., m, :] = graph.eval_jets(space, seeds)
@@ -496,14 +498,14 @@ class Frame:
 
     Built from order-3 jets of f and C in ``space``, at one chart point or at
     a stack of them: every array keeps the leading sample axes of f and C.
-    ``tangent2`` keeps e_i = d_i f as order-2 jets for the one further
-    derivative the structure equations take (d_j e_i); everything downstream
-    lives in the order-1 space ``self.space``, where ``tangent_jets`` and
-    ``C_jet`` are the truncated e_i and C.  ``b0_inv`` is the inverse of the
-    frame value B0, computed once per frame, so every decomposition is a
-    matmul.  Write B = B0 + N with N the gradient (nilpotent) part; at order
-    1 the inverse of B in the jet algebra is exactly B0^{-1} - B0^{-1} N
-    B0^{-1}, so decompositions carry first derivatives exactly.
+    The frame keeps only order-1 jets in ``self.space``, read straight from
+    f and C: ``tangent_jets`` e_i = d_i f, ``d_tangent`` d_j e_i for i <= j
+    (``np.triu_indices`` order, by ``JetSpace.second_derivs``), ``dC_jets``
+    d_i C and ``C_jet`` C.  ``b0_inv`` is the inverse of the frame value B0,
+    computed once per frame, so every decomposition is a matmul.  Write
+    B = B0 + N with N the gradient (nilpotent) part; at order 1 the inverse
+    of B in the jet algebra is exactly B0^{-1} - B0^{-1} N B0^{-1}, so
+    decompositions carry first derivatives exactly.
 
     ``faults`` holds each sample's DegenerateFrame (None where the frame is
     usable); such a sample goes on as the flat frame of the plane
@@ -523,14 +525,11 @@ class Frame:
         self.dim = dim
         self.b0, self.cond, self.faults = _frame_value(f_jet, C_jet)
         self.b0_inv = np.linalg.inv(self.b0)
-        flat = failed(self.faults)[..., None, None]
-        f_jet = np.where(flat, np.concatenate([space.seeds(np.zeros(m)), space.const([0.0])]), f_jet)
-        C_jet = np.where(flat, space.const(np.eye(dim)[m]), C_jet)
-        self.tangent2 = space.derivs(f_jet, 2)  # (..., dim, m, ncoeff of order 2)
-        self.dC_jets = space.derivs(C_jet, 1)  # d_i C: (..., dim, m, ncoeff of order 1)
-        k = self.space.ncoeff
-        self.tangent_jets = self.tangent2[..., :k]
-        self.C_jet = C_jet[..., :k]
+        flat = failed(self.faults)[..., None, None, None]
+        self.tangent_jets = np.where(flat, self.space.const(np.eye(dim, m)), space.derivs(f_jet, 1))
+        self.d_tangent = np.where(flat, 0.0, space.second_derivs(f_jet))
+        self.dC_jets = np.where(flat, 0.0, space.derivs(C_jet, 1))
+        self.C_jet = np.where(flat[..., 0], self.space.const(np.eye(dim)[m]), C_jet[..., : m + 1])
         nilpotent = np.concatenate([self.tangent_jets, self.C_jet[..., None, :]], axis=-2)
         nilpotent[..., 0] = 0.0
         self._neumann = self._solve(nilpotent)
@@ -563,13 +562,18 @@ class InducedData:
     Index conventions: ``Gamma[k, i, j]`` is the e_k coefficient of D_i e_j,
     ``S[k, j]`` the e_k coefficient of -D_j C, ``dX[l, ...]`` the derivative
     of X along chart direction l; a stack puts its sample axis in front of
-    these.  ``faults`` holds each sample's ChartLeak or DegenerateFrame (None
-    where the sample is usable); such a sample carries harmless values.
+    these.  ``J_frame[k, a]`` is the coefficient of column k of the frame
+    B = [e_1 .. e_m | C] in J applied to column a (B^{-1} J B), an order-1
+    jet from which ``paracontact.induced_structure`` reads (phi, xi, eta).
+    ``b0`` and ``cond`` are the frame value and its condition number.
+    ``faults`` holds each sample's ChartLeak or DegenerateFrame (None where
+    the sample is usable); such a sample carries harmless values.
     """
 
     n: int
     u: np.ndarray
-    frame: Frame
+    b0: np.ndarray
+    cond: np.ndarray
     Gamma: np.ndarray
     h: np.ndarray
     S: np.ndarray
@@ -578,6 +582,7 @@ class InducedData:
     dh: np.ndarray
     dS: np.ndarray
     dtau_raw: np.ndarray
+    J_frame: np.ndarray
     faults: np.ndarray
 
     @cached_property
@@ -667,21 +672,23 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
         points = points[:num]
     f, c = eval_immersion(scene, points)
     f, c = f.reshape(u.shape[:-1] + f.shape[-2:]), c.reshape(u.shape[:-1] + c.shape[-2:])
-    space3 = jet_space(scene.chart_dim)
-    frame = Frame(space3, f, c)
+    frame = Frame(jet_space(scene.chart_dim), f, c)
     m = frame.m
-    # d_j e_i for i <= j, then d_j C, as first-order jets.
     iu, ju = np.triu_indices(m)
     npairs = len(iu)
-    d_tangent = space3.derivs(frame.tangent2, 1)  # [..., r, i, j, coeff]
-    rhs = np.concatenate([d_tangent[..., iu, ju, :], frame.dC_jets], axis=-2)
+    # One decomposition of d_j e_i (i <= j), d_i C, then J e_i and J C from
+    # column j0 on.
+    je, jc = apply_J(frame.tangent_jets, axis=-3), apply_J(frame.C_jet, axis=-2)[..., None, :]
+    rhs = np.concatenate([frame.d_tangent, frame.dC_jets, je, jc], axis=-2)
     tang, transv = frame.decompose_jets(rhs)
+    j0 = npairs + m
+    j_frame = np.concatenate([tang[..., j0:, :], transv[..., None, j0:, :]], axis=-3)
 
     # Each jet splits into its value and its gradient [l, ...]: with the
     # coefficient axis in front of the tensor axes both are slices, and each
     # field is copied out of one into a contiguous array of its own.
-    tang = np.moveaxis(tang, -1, -3)  # [..., coeff, k, pair]
-    transv = np.moveaxis(transv, -1, -2)  # [..., coeff, pair]
+    tang = np.moveaxis(tang[..., :j0, :], -1, -3)  # [..., coeff, k, pair]
+    transv = np.moveaxis(transv[..., :j0, :], -1, -2)  # [..., coeff, pair]
     # pair[i, j] is the pair of (min(i, j), max(i, j)): Gamma and h are symmetric.
     pair = np.empty((m, m), dtype=np.intp)
     pair[iu, ju] = pair[ju, iu] = np.arange(npairs)
@@ -689,7 +696,8 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     return InducedData(
         n=scene.n,
         u=u,
-        frame=frame,
+        b0=frame.b0,
+        cond=frame.cond,
         Gamma=np.take(tang[..., 0, :, :], pair, axis=-1),
         h=np.take(transv[..., 0, :], pair, axis=-1),
         S=np.negative(tang[..., 0, :, npairs:], order="C"),
@@ -698,6 +706,7 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
         dh=np.take(transv[..., 1:, :], pair, axis=-1),
         dS=np.negative(tang[..., 1:, :, npairs:], order="C"),
         dtau_raw=transv[..., 1:, npairs:].copy(),
+        J_frame=j_frame,
         faults=np.where(outside, faults, frame.faults),
     )
 

@@ -8,11 +8,12 @@ exact (no step sizes, no cancellation beyond float64 roundoff).
 
 The geometry modules use two orders.  The immersion f and the transversal C
 are evaluated at order 3, since the structure equations need the first
-derivatives of d_j d_i f and d_i C.  Everything after those two derivative
-steps (frame decompositions, Gamma/h/S/tau, phi/xi/eta) is carried at order
-1: a value and a gradient.  Coefficients are listed by degree, so the
-order-1 layout is the first ``num_vars + 1`` coefficients of any higher one
-and truncation is a slice.
+derivatives of d_j d_i f and d_i C.  ``derivs`` and ``second_derivs`` (one
+gather for d_j d_i f, i <= j) read those straight into order-1 jets, and
+everything after them (frame decompositions, Gamma/h/S/tau, phi/xi/eta) is
+carried at order 1: a value and a gradient.  Coefficients are listed by
+degree, so the order-1 layout is the first ``num_vars + 1`` coefficients of
+any higher one and truncation is a slice.
 
 Two layers live here:
 
@@ -123,6 +124,11 @@ class JetSpace:
         # the position of alpha - e_i, or -1 (a zero pad) where alpha_i = 0.
         self._shift_src = np.full((num_vars, self.ncoeff), -1)
         self._shift_src[np.arange(num_vars)[:, None], self._d_src] = np.arange(len(low))
+        # d_i d_j (i <= j) into jets of order - 2: ``_d_src`` composed with itself.
+        iu, ju = np.triu_indices(num_vars)
+        mid = self._d_src[ju, : int(np.sum(degrees < order - 1))]
+        self._d2_src = self._d_src[iu[:, None], mid]
+        self._d2_fac = self._d_fac[ju, : mid.shape[1]] * self._d_fac[iu[:, None], mid]
 
     # ------------------------------------------------------------------
     # constructors
@@ -216,7 +222,7 @@ class JetSpace:
         if np.any(np.abs(b0) <= _DIV_FLOOR):
             raise DegenerateJet("division by jet with (near-)zero constant term")
         r = 1.0 / b0
-        return self.compose(b, r, -(r**2), r**3, -(r**4))
+        return self.compose(b, r, -(r * r), r * r * r, -(r * r * r * r))
 
     def div(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul(a, self.inv(b))
@@ -226,7 +232,7 @@ class JetSpace:
         if np.any(a0 <= 0.0):
             raise DegenerateJet("sqrt of jet with non-positive constant term")
         s = np.sqrt(a0)
-        return self.compose(a, s, 0.5 / s, -0.125 / s**3, 0.0625 / s**5)
+        return self.compose(a, s, 0.5 / s, -0.125 / (s * s * s), 0.0625 / (s * s * s * s * s))
 
     def exp(self, a: np.ndarray) -> np.ndarray:
         e = np.exp(a[..., 0])
@@ -260,9 +266,10 @@ class JetSpace:
         k = math.comb(self.num_vars + order, order)
         return a[..., self._d_src[:, :k]] * self._d_fac[:, :k]
 
-    def grad(self, a: np.ndarray) -> np.ndarray:
-        """First partials as the trailing axis: shape ``(..., num_vars)``."""
-        return a[..., 1 : 1 + self.num_vars]
+    def second_derivs(self, a: np.ndarray) -> np.ndarray:
+        """Every d_i d_j a (i <= j, ``np.triu_indices`` order) as a jet of order
+        ``self.order - 2``: shape ``(..., pairs, ncoeff of that order)``."""
+        return a[..., self._d2_src] * self._d2_fac
 
     def partial(self, a: np.ndarray, alpha) -> np.ndarray:
         alpha = tuple(int(x) for x in alpha)

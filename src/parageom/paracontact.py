@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame, failed, record_failures
+from .errors import DegenerateFrame, record_failures
 from .hypersurface import HFactor, InducedData
-from .paracomplex import apply_J
 
 # Pivot floor for selecting independent spanning fields of ker(eta).
 _DBASIS_PIVOT = 1e-8
@@ -72,24 +71,15 @@ class ParacontactData:
 
 
 def induced_structure(induced: InducedData) -> ParacontactData:
-    """Build (phi, xi, eta) and the ker(eta) basis by decomposing J against
-    the frame, everything carried as first-order jets so first derivatives
-    come along.  A single point raises its failure; a stack keeps it."""
-    frame = induced.frame
-    space = frame.space
-    m = frame.m
+    """Build (phi, xi, eta) and the ker(eta) basis from the split of J against
+    the frame (``J_frame``), as first-order jets so first derivatives come
+    along.  A single point raises its failure; a stack keeps it."""
+    jf = induced.J_frame
+    m = jf.shape[-2] - 1
+    phi_jets, eta_jets = jf[..., :m, :m, :], jf[..., m, :m, :]  # [..., (k,) j, coeff]
+    xi_jets, rho = jf[..., :m, m, :], jf[..., m, m, :]
 
-    je = apply_J(frame.tangent_jets, axis=-3)
-    jc = apply_J(frame.C_jet, axis=-2)
-    rhs = np.concatenate([je, jc[..., None, :]], axis=-2)
-    tang, transv = frame.decompose_jets(rhs)
-
-    phi_jets = tang[..., :m, :]  # [..., k, j, coeff]
-    eta_jets = transv[..., :m, :]
-    xi_jets = tang[..., m, :]
-    rho = transv[..., m, :]
-
-    deta = np.moveaxis(space.grad(eta_jets), -1, -2)  # [..., l, i]
+    deta = np.moveaxis(eta_jets[..., 1:], -1, -2)  # [..., l, i]
     d_eta = 0.5 * (deta - np.swapaxes(deta, -1, -2))
     faults = induced.faults.copy()
     basis, dbasis = _kernel_basis_jets(induced.n, eta_jets, xi_jets, faults)
@@ -102,9 +92,9 @@ def induced_structure(induced: InducedData) -> ParacontactData:
         d_eta=d_eta,
         D_basis=basis,
         tangency=np.abs(rho[..., 0]),
-        dxi=np.swapaxes(space.grad(xi_jets), -1, -2),
+        dxi=np.swapaxes(xi_jets[..., 1:], -1, -2),
         deta=deta,
-        dphi=np.moveaxis(space.grad(phi_jets), -1, -3),
+        dphi=np.moveaxis(phi_jets[..., 1:], -1, -3),
         dbasis=dbasis,
         faults=faults,
     )
@@ -135,22 +125,23 @@ def _kernel_basis_jets(n, eta_jets, xi_jets, faults):
 
     pivots = np.zeros((len(samples), want), dtype=np.intp)
     used = np.zeros((len(samples), m), dtype=bool)
+    low = np.zeros(len(samples), dtype=bool)
     residual = cand
     for step in range(want):
         norms = np.where(used, -np.inf, np.linalg.norm(residual, axis=-1))
         best = np.argmax(norms, axis=-1)
-        record_failures(
-            faults,
-            (norms[samples, best] < _DBASIS_PIVOT).reshape(lead),
-            lambda k: DegenerateFrame("cannot span ker(eta): residual candidates below pivot floor"),
-        )
+        low |= norms[samples, best] < _DBASIS_PIVOT
         used[samples, best] = True
         pivots[:, step] = best
         v = residual[samples, best] / np.maximum(norms[samples, best], _DBASIS_PIVOT)[:, None]
         # Used candidates are projected too, but never read again.
         residual = residual - (residual @ v[:, :, None]) * v[:, None, :]
 
-    bad = failed(faults).reshape(-1, 1, 1)
+    bad = record_failures(
+        faults,
+        low.reshape(lead),
+        lambda k: DegenerateFrame("cannot span ker(eta): residual candidates below pivot floor"),
+    ).reshape(-1, 1, 1)
     rows = samples[:, None], pivots
     q, r = np.linalg.qr(np.swapaxes(np.where(bad, np.eye(m)[pivots], cand[rows]), -1, -2))
     sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))

@@ -174,7 +174,8 @@ def analyze_scene(scene: ImmersionScene) -> PointAnalysis | None:
 class TheoremReport:
     """One battery over a scene's samples, as columns with one entry per
     sample (``identities`` holds one per identity); ``signatures`` is kept
-    for THM_QUADRIC_CONV only."""
+    for THM_QUADRIC_CONV only.  ``num_skipped`` and ``max_residual`` are
+    computed once, when first read, from the columns ``run_suite`` filled."""
 
     theorem_id: str
     tolerance: object
@@ -191,11 +192,11 @@ class TheoremReport:
     def passed(self) -> bool:
         return self.status in ("passed", "vacuous")
 
-    @property
+    @cached_property
     def num_skipped(self) -> int:
         return sum(r is not None for r in self.skip_reasons)
 
-    @property
+    @cached_property
     def max_residual(self) -> float:
         vals = [w for w in self.worst if w is not None]
         return float(np.max(vals, initial=0.0))  # unlike max, lets a NaN show

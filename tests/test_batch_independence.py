@@ -51,11 +51,8 @@ def arrays(pa, i=None):
     for record in (pa.ind, pa.der, pa.pd):
         for f in fields(record):
             value = getattr(record, f.name)
-            if f.name not in ("n", "frame", "faults"):
+            if f.name not in ("n", "faults"):
                 out[f"{type(record).__name__}.{f.name}"] = np.asarray(value)
-    for key, value in vars(pa.ind.frame).items():
-        if isinstance(value, (np.ndarray, np.generic)) and key != "faults":
-            out[f"Frame.{key}"] = np.asarray(value)
     return out if i is None else {name: a[i] for name, a in out.items()}
 
 

@@ -8,10 +8,12 @@ were then converted from report version 1 to version 2 without re-running
 ``verify``: each column is the v1 ``per_sample`` row field read in order,
 null where the row was skipped; ``vacuous_identities`` and the identity names
 come from any scored row (``[]`` and ``{}`` without one), and the floats are
-the stored ones.  Exit codes, statuses, skip reasons and vacuous lists must
-match exactly; floats within 1e-13 absolute or 1e-12 relative.  Regenerate a
-report only for a deliberate change of its contents, and say why in the
-commit.
+the stored ones.  ``quadric_n4`` (m = 9 chart variables) was written in
+report version 2 by ``gen-quadric --n 4 --seed 0 --num-samples 4`` and
+``verify --no-timing --json`` before the frame kept only order-1 jets.  Exit
+codes, statuses, skip reasons and vacuous lists must match exactly; floats
+within 1e-13 absolute or 1e-12 relative.  Regenerate a report only for a
+deliberate change of its contents, and say why in the commit.
 """
 
 import json
@@ -25,7 +27,7 @@ from parageom.cli import main
 DATA = Path(__file__).parent / "data"
 
 # scene file stem -> exit code of the run that wrote its report
-GOLDEN = {"hyperbola": 0, "quadric_n1": 0, "perturbed_n1": 1, "graph_n1": 1}
+GOLDEN = {"hyperbola": 0, "quadric_n1": 0, "quadric_n4": 0, "perturbed_n1": 1, "graph_n1": 1}
 
 
 def assert_same(got, want, where="$"):

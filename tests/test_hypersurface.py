@@ -1,5 +1,7 @@
 """Frames, induced connection/form/shape data, structure-equation residuals."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -234,7 +236,7 @@ def test_quadric_h_matches_ambient_formula():
     scene = quadric_scene(spec, seed=5, num_samples=8)
     for u in scene.samples:
         ind = induced_data(scene, u)
-        e = ind.frame.tangent_jets[..., 0]  # (dim, m)
+        e = ind.b0[:, :-1]  # the frame value [e_1 .. e_m | C]: (dim, m)
         expected = -e.T @ spec.A @ e
         np.testing.assert_allclose(ind.h, expected, atol=1e-10)
 
@@ -494,6 +496,53 @@ def test_analysis_builds_one_jet_space_per_order_it_uses():
     for order in (1, 3):
         jet_space(scene.chart_dim, order)
     assert _jet_space.cache_info().currsize == 2
+
+
+def test_frame_and_induced_data_keep_only_order_1_jets(monkeypatch):
+    # Once induced_data returns, no array kept on its Frame or on the
+    # InducedData is wider than an order-1 jet (m + 1 coefficients), and the
+    # whole analysis decomposes against the frame once.
+    frames, calls = [], []
+    init, decompose = Frame.__init__, Frame.decompose_jets
+
+    def recording_init(self, *args):
+        init(self, *args)
+        frames.append(self)
+
+    def counting_decompose(self, v):
+        calls.append(v.shape)
+        return decompose(self, v)
+
+    monkeypatch.setattr(Frame, "__init__", recording_init)
+    monkeypatch.setattr(Frame, "decompose_jets", counting_decompose)
+    for n in (0, 1, 4):
+        scene = quadric_scene(random_quadric_spec(n, 60 + n), seed=60 + n, num_samples=3)
+        m = scene.chart_dim
+        frames.clear()
+        calls.clear()
+        ind = analyze_scene(scene).ind
+        (frame,) = frames
+        assert len(calls) == 1, calls
+        kept = {f"Frame.{k}": v for k, v in vars(frame).items()}
+        kept.update({f"InducedData.{f.name}": getattr(ind, f.name) for f in fields(ind)})
+        assert "Frame.tangent2" not in kept and "InducedData.frame" not in kept
+        for name, value in kept.items():
+            if isinstance(value, np.ndarray) and value.dtype != object and value.ndim > 1:
+                assert value.shape[-1] <= m + 1, (name, value.shape)
+
+
+def test_a_failed_frame_carries_the_flat_frame():
+    rng = np.random.default_rng(5)
+    b0 = rng.normal(size=(3, 4, 4))
+    b0[1, :, 0] = b0[1, :, 1]
+    fr = frame_with_value(rng, 3, b0)
+    assert failed(fr.faults).tolist() == [False, True, False]
+    flat = jet_space(3, 1).const(np.eye(4))
+    np.testing.assert_array_equal(fr.b0[1], np.eye(4))
+    np.testing.assert_array_equal(fr.tangent_jets[1], flat[:, :3])
+    np.testing.assert_array_equal(fr.C_jet[1], flat[:, 3])
+    assert not fr.d_tangent[1].any() and not fr.dC_jets[1].any()
+    assert fr.d_tangent[0].any() and fr.dC_jets[2].any()
 
 
 def test_epsilon_zero_perturbation_matches_plain_quadric():

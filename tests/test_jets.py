@@ -452,3 +452,31 @@ def test_derivs_are_truncated_partials():
         space.derivs(a, 3)
     with pytest.raises(OrderExceeded):
         jet_space(3, 1).partial(a[0, :4], (2, 0, 0))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_second_derivs_gather_the_pairs_of_two_derivs(m):
+    # One gather for d_i d_j, i <= j in np.triu_indices order, bit for bit
+    # the two derivative steps it replaces, on a stack of random jets.
+    rng = np.random.default_rng(40 + m)
+    space = jet_space(m)
+    a = rng.normal(size=(3, 2, space.ncoeff))
+    iu, ju = np.triu_indices(m)
+    got = space.second_derivs(a)
+    assert got.shape == (3, 2, len(iu), m + 1)
+    np.testing.assert_array_equal(got, space.derivs(space.derivs(a, 2), 1)[..., iu, ju, :])
+
+
+@pytest.mark.parametrize("kernel", ["inv", "sqrt"])
+@pytest.mark.parametrize("num_vars, order", [(1, 3), (3, 3), (9, 3), (5, 2)])
+def test_inv_and_sqrt_of_a_stack_equal_each_row_alone(kernel, num_vars, order):
+    # Their compose coefficients are products, which round alike for an
+    # array and for one of its elements.
+    rng = np.random.default_rng(7 * num_vars + order)
+    space = jet_space(num_vars, order)
+    a = rng.normal(size=(4, 5, space.ncoeff))
+    a[..., 0] = rng.uniform(0.1, 30.0, size=a.shape[:-1])
+    op = getattr(space, kernel)
+    stack = op(a)
+    for idx in np.ndindex(a.shape[:-1]):
+        assert np.array_equal(stack[idx], op(a[idx])), idx

@@ -162,4 +162,4 @@ def test_quadric_gradient_is_2Ax_via_jets():
     seeds = space.seeds(x0)
     ax = np.einsum("rs,sc->rc", spec.A, seeds)
     q = space.mul(seeds, ax).sum(axis=0)
-    np.testing.assert_allclose(space.grad(q), 2.0 * spec.A @ x0, atol=1e-12)
+    np.testing.assert_allclose(q[1 : dim + 1], 2.0 * spec.A @ x0, atol=1e-12)

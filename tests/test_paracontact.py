@@ -312,7 +312,7 @@ def test_d_eta_matches_ambient_formula_on_quadric():
     jmat[2:, :2] = np.eye(2)
     for u in scene.samples:
         ind, pd = point_data(scene, u)
-        e = ind.frame.tangent_jets[..., 0]  # (dim, m)
+        e = ind.b0[:, :-1]  # the frame value [e_1 .. e_m | C]: (dim, m)
         expected = e.T @ spec.A @ jmat @ e
         np.testing.assert_allclose(pd.d_eta, expected, atol=1e-10)
 
