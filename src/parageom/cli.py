@@ -56,6 +56,11 @@ REPORT_VERSION = 2
 # run is declared degenerate (exit 3).
 MAX_SKIP_FRACTION = 0.10
 
+# Input limits that protect the host: memory grows linearly with the samples
+# and steeply with n (order-3 jets of 2n + 1 chart variables).
+MAX_N = 16
+MAX_NUM_SAMPLES = 100
+
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
@@ -129,14 +134,14 @@ def _scene_bounds(n, seed, num_samples, box, name):
     """``(n, seed, num_samples, sample_box)`` checked against the scene-file
     bounds, with ``name(field)`` in the error; ``gen-quadric`` checks here
     too, so it writes no file that ``verify`` rejects."""
-    if n < 0:
-        raise SceneFileError(f"{name('n')}: must be >= 0")
+    if not 0 <= n <= MAX_N:
+        raise SceneFileError(f"{name('n')}: must be between 0 and {MAX_N}")
     seed = _number(seed, name("seed"), integer=True)
     if seed < 0:
         raise SceneFileError(f"{name('seed')}: must be >= 0")
     num_samples = _number(num_samples, name("num_samples"), integer=True)
-    if num_samples < 1:
-        raise SceneFileError(f"{name('num_samples')}: must be >= 1")
+    if not 1 <= num_samples <= MAX_NUM_SAMPLES:
+        raise SceneFileError(f"{name('num_samples')}: must be between 1 and {MAX_NUM_SAMPLES}")
     box = _number(box, name("sample_box"))
     if not 0 < box <= sys.float_info.max / 2:
         # The box [-box, box] must have a finite width to be sampled.

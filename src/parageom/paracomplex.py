@@ -24,6 +24,9 @@ from .errors import GenerationError, ShapeError
 # the induced second fundamental form well-conditioned at desk scale.
 DET_FLOOR = 1e-6
 _MAX_REDRAWS = 1000
+# A quadric matrix is singular where sigma_min <= A_SV_FLOOR * sigma_max, a
+# ratio that depends neither on A's scale nor on its size.
+A_SV_FLOOR = 1e-12
 
 
 def apply_J(v: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -78,8 +81,11 @@ class QuadricSpec:
         self.A = np.block(
             [[self.P, self.R_skew], [-self.R_skew, -self.P]]
         )
-        scale = np.max(np.abs(self.A))  # relative, so no power of max|A| overflows
-        if scale == 0.0 or abs(np.linalg.det(self.A / scale)) <= 1e-9:
+        if not np.isfinite(self.A).all():
+            raise ShapeError("quadric matrix entries must be finite")
+        # Divided by max|A| first, so that the SVD of a huge A cannot overflow.
+        sv = np.linalg.svd(self.A / (np.max(np.abs(self.A)) or 1.0), compute_uv=False)
+        if not sv[-1] > A_SV_FLOOR * sv[0]:
             raise ShapeError("quadric matrix is (numerically) singular")
 
     @property

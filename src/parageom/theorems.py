@@ -4,8 +4,7 @@ Each named result about the induced structure becomes a battery of residuals
 evaluated at every sample of a scene:
 
 * ``ENGINE``          — the Gauss, Codazzi and Ricci equations, true for any
-                        transversal: the engine self-test of every verify
-                        run, ungated, at the scene's engine tolerance.
+                        transversal: the engine self-test of every verify run.
 * ``METRIC``          — structure-level battery (J-tangency, the almost
                         paracontact axioms, metric compatibility, signature).
 * ``TW_WZORY``        — the six connection/form identities that hold for any
@@ -24,35 +23,31 @@ evaluated at every sample of a scene:
                         surrogate of the hyperquadric classification).
 * ``THM_QUADRIC_CONV``— the converse: a centered quadric anticommuting with
                         the half-swap, with the position transversal, carries
-                        a metric induced structure with all of the above.  It
-                        is a row like the others, ungated, scored against the
-                        per-identity ``CONVERSE_TOLERANCES``; like ENGINE it
-                        is not one of the ``SCENE_SUITES`` a scene file may
-                        select, and ``verify_quadric_converse`` builds its scene.
+                        a metric induced structure with all of the above
+                        (``verify_quadric_converse`` builds its scene).
 
-Every battery runs through ``run_suite``, which calls its body once, on the
-batch ``analyze_scene`` computes once per scene (``analyze_point`` on the
-stack of its samples).  A body is a pure function of the batch: it returns
-only ``{identity: residual}``, each a raw ndarray with the sample axis in
-front, and writes nothing.  ``_score`` is the only place that reduces a
-residual or compares it with a tolerance, for the batteries and the
-hypothesis gates alike, in one pass over the samples: an identity reads each
-sample's max |residual| and passes where that is <= its tolerance, so a NaN
-fails.  An identity quantified over ker(eta) has an empty residual at n = 0,
-where it is reported vacuous instead of counted.  Theorem hypotheses are
-enforced as numeric gates at the scene's theorem tolerance; diagnostic mode
-disables the gates so negative behaviour can be measured.  A row that inverts
-h names the least n at which it does, and from there ``run_suite`` skips each
-sample whose h is degenerate (``InducedData.h_factor``).  Analysis failures,
-gate skips and degeneracy skips are reported per sample and never silently
-dropped: a ``TheoremReport`` keeps ``_score``'s per-sample columns, with None
-in every column but ``skip_reasons`` where a sample was skipped, and its
-``to_dict`` writes those columns under their own names (report version 2).
+ENGINE and THM_QUADRIC_CONV are not among the ``SCENE_SUITES`` a scene file
+may select.  Each battery is one ``_Battery`` record in ``_BATTERIES``, and
+``run_suite`` reads only that record: it calls the body once, on the batch
+``analyze_scene`` computes once per scene (``analyze_point`` on the stack of
+its samples).  A body is a pure function of the batch that returns only
+``{identity: residual}``, each a raw ndarray with the sample axis in front.
+``_score`` is the only place that reduces a residual or compares it with a
+tolerance, for the batteries and the hypothesis gates alike, in one pass over
+the samples: an identity reads each sample's max |residual| and passes where
+that is <= its tolerance, so a NaN fails; one quantified over an empty
+ker(eta), as at n = 0, is reported vacuous instead.  Diagnostic mode disables
+the gates so negative behaviour can be measured.  Analysis failures, gate
+skips and degeneracy skips are reported per sample, never silently dropped:
+a ``TheoremReport`` keeps the per-sample columns, with None in every column
+but ``skip_reasons`` where a sample was skipped, and its ``to_dict`` writes
+them under their own names (report version 2).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -79,15 +74,8 @@ from .paracontact import (
 )
 
 SCENE_SUITES = (
-    "METRIC",
-    "TW_WZORY",
-    "COR_WZORY",
-    "PROP_NORMAL",
-    "LEM_EST",
-    "LEM_CUBIC",
-    "THM_STAU",
-    "THM_EQUIV",
-    "THM_QUADRIC_FWD",
+    "METRIC", "TW_WZORY", "COR_WZORY", "PROP_NORMAL", "LEM_EST", "LEM_CUBIC",
+    "THM_STAU", "THM_EQUIV", "THM_QUADRIC_FWD",
 )
 
 # Identities reported for information only; they never gate a battery.
@@ -125,7 +113,6 @@ class PointAnalysis:
     der: DerivedTensors
     pd: ParacontactData
     metric: np.ndarray
-    # gate_scores, by tolerance
     _gates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -151,13 +138,7 @@ def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
     ind = induced_data(scene, u)
     der = derive_tensors(ind)
     pd = induced_structure(ind)
-    return PointAnalysis(
-        u=np.asarray(u, dtype=float),
-        ind=ind,
-        der=der,
-        pd=pd,
-        metric=metric_residual(pd, ind.h),
-    )
+    return PointAnalysis(np.asarray(u, dtype=float), ind, der, pd, metric_residual(pd, ind.h))
 
 
 def analyze_scene(scene: ImmersionScene) -> PointAnalysis | None:
@@ -173,9 +154,10 @@ def analyze_scene(scene: ImmersionScene) -> PointAnalysis | None:
 @dataclass
 class TheoremReport:
     """One battery over a scene's samples, as columns with one entry per
-    sample (``identities`` holds one per identity); ``signatures`` is kept
-    for THM_QUADRIC_CONV only.  ``num_skipped`` and ``max_residual`` are
-    computed once, when first read, from the columns ``run_suite`` filled."""
+    sample (``identities`` holds one per identity); ``signatures`` is filled
+    where the battery's record adds that column (THM_QUADRIC_CONV).
+    ``num_skipped`` and ``max_residual`` are computed once, when first read,
+    from the columns ``run_suite`` filled."""
 
     theorem_id: str
     tolerance: object
@@ -202,11 +184,8 @@ class TheoremReport:
         return float(np.max(vals, initial=0.0))  # unlike max, lets a NaN show
 
     def degenerate_indices(self) -> list:
-        return [
-            idx
-            for idx, reason in enumerate(self.skip_reasons)
-            if reason is not None and reason.startswith("degenerate")
-        ]
+        reasons = enumerate(self.skip_reasons)
+        return [i for i, r in reasons if r is not None and r.startswith("degenerate")]
 
     def to_dict(self) -> dict:
         """The report as JSON-ready values (report version 2): every field
@@ -241,6 +220,23 @@ def _score(residuals: dict, tol) -> tuple:
         worst = np.maximum(worst, value)  # once NaN, worst stays NaN
         ok &= value <= (tol[name] if isinstance(tol, dict) else tol)
     return identities, vacuous, worst.tolist(), ok.tolist()
+
+
+# Verdict rules: ``_score``'s result and the tolerance -> each sample's ok.
+def _within_tolerance(score: tuple, tol) -> list:
+    """The default: ok where every counted identity is within its tolerance."""
+    return score[3]
+
+
+def _same_side(score: tuple, tol: float) -> list:
+    """PROP_NORMAL's rule: the proposition is an equivalence, so a sample is
+    ok where both normality defects sit on the same side of the tolerance,
+    and a NaN sits on neither."""
+    ids, _, worst, _ = score
+    return [
+        (a <= tol) == (b <= tol) and not math.isnan(w)
+        for a, b, w in zip(ids["nijenhuis"], ids["operational"], worst)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -428,34 +424,51 @@ def _metric_identities(pa: PointAnalysis) -> dict:
 def _converse_identities(pa: PointAnalysis) -> dict:
     return {
         "j_tangency": pa.pd.tangency,
-        "metric": pa.metric,
         "signature_defect": _signature_defect(pa),
         **_thm_stau_identities(pa),
         **_quadric_fwd_identities(pa),
-        # repeats "metric" with the same value, which keeps its place above
         **_thm_equiv_identities(pa),
     }
 
 
-# theorem id -> (battery body, gate kind: None, "tangent" or "metric",
-# tolerance: the scene tolerance of that name, or one per identity,
-# the least n at which the body inverts h: None where it never does)
+@dataclass(frozen=True)
+class _Battery:
+    """One battery, as ``run_suite`` reads it: the ``body``; the ``gate``
+    (a key of ``_GATES``) each sample must pass outside diagnostic mode; the
+    scene ``tolerance`` of that name, or one per identity; the least n at
+    which the body inverts h (None: never), from which a sample with a
+    degenerate h is skipped; the ``verdict`` rule; and extra report
+    ``columns``, ``{TheoremReport field: batch -> per-sample values}``."""
+
+    body: Callable
+    gate: str | None = None
+    tolerance: str | dict = "theorem"
+    inverts_h: int | None = None
+    verdict: Callable = _within_tolerance
+    columns: dict = field(default_factory=dict)
+
+
 _BATTERIES = {
-    "ENGINE": (_engine_identities, None, "engine", None),
-    "METRIC": (_metric_identities, None, "theorem", None),
-    "TW_WZORY": (_tw_wzory_identities, "tangent", "theorem", None),
-    "COR_WZORY": (_cor_wzory_identities, "tangent", "theorem", None),
-    "PROP_NORMAL": (_prop_normal_identities, "tangent", "theorem", 1),
-    "LEM_EST": (_lem_est_identities, "metric", "theorem", None),
-    "LEM_CUBIC": (_lem_cubic_identities, "metric", "theorem", None),
-    "THM_STAU": (_thm_stau_identities, "metric", "theorem", None),
-    "THM_EQUIV": (_thm_equiv_identities, "metric", "theorem", 0),
-    "THM_QUADRIC_FWD": (_quadric_fwd_identities, "metric", "theorem", None),
-    "THM_QUADRIC_CONV": (_converse_identities, None, CONVERSE_TOLERANCES, 0),
+    "ENGINE": _Battery(_engine_identities, tolerance="engine"),
+    "METRIC": _Battery(_metric_identities),
+    "TW_WZORY": _Battery(_tw_wzory_identities, "tangent"),
+    "COR_WZORY": _Battery(_cor_wzory_identities, "tangent"),
+    "PROP_NORMAL": _Battery(_prop_normal_identities, "tangent", inverts_h=1, verdict=_same_side),
+    "LEM_EST": _Battery(_lem_est_identities, "metric"),
+    "LEM_CUBIC": _Battery(_lem_cubic_identities, "metric"),
+    "THM_STAU": _Battery(_thm_stau_identities, "metric"),
+    "THM_EQUIV": _Battery(_thm_equiv_identities, "metric", inverts_h=0),
+    "THM_QUADRIC_FWD": _Battery(_quadric_fwd_identities, "metric"),
+    "THM_QUADRIC_CONV": _Battery(
+        _converse_identities, tolerance=CONVERSE_TOLERANCES, inverts_h=0,
+        columns={"signatures": lambda pa: pa.ind.h_factor.signature.tolist()},
+    ),
 }
 
-# (gate residual, skip reason): a "tangent" gate checks the first, "metric" both.
-_GATES = (("j_tangency", "transversal not J-tangent"), ("metric", "structure not metric"))
+# Each gate, by the name a battery and its report give it (None: ungated): the
+# gate residuals a sample must pass, each with the skip reason where it fails.
+_TANGENT = {"j_tangency": "transversal not J-tangent"}
+_GATES = {None: {}, "tangent": _TANGENT, "metric": {**_TANGENT, "metric": "structure not metric"}}
 
 
 # ----------------------------------------------------------------------
@@ -468,20 +481,15 @@ def run_suite(
     diagnostic: bool = False,
     analyses: PointAnalysis | None = None,
 ) -> TheoremReport:
-    """Evaluate one battery over every sample of a scene.
-
-    ``analyses`` is the scene's batch (``analyze_scene``, computed here when
-    not given).  The battery body runs once, on the whole batch, and its
-    residuals are scored in one pass over the samples.  A sample is skipped,
+    """Evaluate the battery ``theorem_id`` over every sample of a scene, as
+    its ``_BATTERIES`` record says, on ``analyses``, the scene's batch
+    (``analyze_scene``, computed here when not given).  A sample is skipped,
     with its reason, when it could not be analyzed ("degenerate: ..."), when
-    it fails the battery's hypothesis gate outside diagnostic mode
-    ("gate: ..."), or when its h is degenerate where the battery inverts h
-    ("degenerate: ...").
-    """
-    if theorem_id not in _BATTERIES:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
-    body, gate, tolerances, inverts_h = _BATTERIES[theorem_id]
-    tol = dict(tolerances) if isinstance(tolerances, dict) else float(scene.tolerances[tolerances])
+    it fails the gate ("gate: ..."), or when its h is degenerate where the
+    body inverts h ("degenerate: ...")."""
+    battery = _BATTERIES[theorem_id]  # a KeyError names an unknown id
+    tol, gate = battery.tolerance, battery.gate
+    tol = dict(tol) if isinstance(tol, dict) else float(scene.tolerances[tol])
     batch = analyze_scene(scene) if analyses is None else analyses
     if batch is None:
         return TheoremReport(theorem_id, tol, "skipped", gate, [])
@@ -490,42 +498,36 @@ def run_suite(
         None if fault is None else f"degenerate: {type(fault).__name__}: {fault}"
         for fault in batch.pd.faults
     ]
-    if gate is not None and not diagnostic:
-        scores = batch.gate_scores(tol)
-        for name, what in _GATES[: 2 if gate == "metric" else 1]:
-            values, _, _, ok = scores[name]
-            for idx, (value, passed) in enumerate(zip(values[name], ok)):
-                if reasons[idx] is None and not passed:
-                    reasons[idx] = f"gate: {what} (residual {value:.3g})"
-    if inverts_h is not None and batch.pd.n >= inverts_h:
+    for name, what in ({} if diagnostic else _GATES[gate]).items():
+        values, _, _, ok = batch.gate_scores(tol)[name]
+        for idx, (value, passed) in enumerate(zip(values[name], ok)):
+            if reasons[idx] is None and not passed:
+                reasons[idx] = f"gate: {what} (residual {value:.3g})"
+    if battery.inverts_h is not None and batch.pd.n >= battery.inverts_h:
         for idx in np.flatnonzero(batch.ind.h_factor.degenerate):
             if reasons[idx] is None:
                 reasons[idx] = f"degenerate: {batch.ind.h_factor.reason(idx)}"
 
-    report = TheoremReport(theorem_id, tol, "skipped", gate, reasons)
     if None not in reasons:
-        report.worst, report.ok = [None] * len(reasons), [None] * len(reasons)
-        return report
-    ids, report.vacuous_identities, worst, ok = _score(body(batch), tol)
-    if theorem_id == "PROP_NORMAL":
-        # The proposition is an equivalence: both residuals must sit on the
-        # same side of the tolerance, and a NaN sits on neither.
-        ok = [
-            (a <= tol) == (b <= tol) and not math.isnan(w)
-            for a, b, w in zip(ids["nijenhuis"], ids["operational"], worst)
-        ]
-    report.identities = {k: _scored(v, reasons) for k, v in ids.items()}
-    report.worst, report.ok = _scored(worst, reasons), _scored(ok, reasons)
-    if theorem_id == "THM_QUADRIC_CONV":
-        report.signatures = _scored(batch.ind.h_factor.signature.tolist(), reasons)
-    vac = report.vacuous_identities
-    if False in report.ok:
-        report.status = "failed"
+        return TheoremReport(
+            theorem_id, tol, "skipped", gate, reasons,
+            worst=[None] * len(reasons), ok=[None] * len(reasons),
+        )
+    score = _score(battery.body(batch), tol)
+    ids, vac, worst, _ = score
+    ok = _scored(battery.verdict(score, tol), reasons)
+    if False in ok:
+        status = "failed"
     elif vac and all(k in vac or k in _INFORMATIONAL for k in ids):
-        report.status = "vacuous"
+        status = "vacuous"
     else:
-        report.status = "passed"
-    return report
+        status = "passed"
+    columns = {name: _scored(column(batch), reasons) for name, column in battery.columns.items()}
+    return TheoremReport(
+        theorem_id, tol, status, gate, reasons,
+        identities={k: _scored(v, reasons) for k, v in ids.items()},
+        worst=_scored(worst, reasons), ok=ok, vacuous_identities=vac, **columns,
+    )
 
 
 def _scored(values: list, reasons: list) -> list:
@@ -538,13 +540,8 @@ def verify_quadric_converse(
     num_samples: int = 20,
     seed: int = 0,
 ) -> TheoremReport:
-    """The converse battery on a quadric scene with the position transversal.
-
-    Builds the radial chart (base point found by seeded search), then runs
-    the THM_QUADRIC_CONV row: J-tangency, metric compatibility with signature
-    (n+1, n), S = -Id and tau = 0, total vanishing of the cubic form, and the
-    (-1)-contact, (-1)-Sasakian and normality conditions, each against its
-    own tolerance in ``CONVERSE_TOLERANCES``.
-    """
+    """The THM_QUADRIC_CONV battery, each identity against its own tolerance
+    in ``CONVERSE_TOLERANCES``, on the quadric's radial chart (base point
+    found by seeded search) with the position transversal."""
     scene = quadric_scene(spec, seed=seed, num_samples=num_samples)
     return run_suite(scene, "THM_QUADRIC_CONV")

@@ -92,10 +92,10 @@ def test_each_battery_body_runs_once_on_the_batch_and_matches_single_points(
 ):
     batch = analyze_scene(scene)
     points = [analyze_point(scene, u) for u in scene.samples]
-    for theorem_id, (body, *row) in theorems._BATTERIES.items():
-        residuals = body(batch)
+    for theorem_id, battery in theorems._BATTERIES.items():
+        residuals = battery.body(batch)
         for i, pa in enumerate(points):
-            want = body(pa)
+            want = battery.body(pa)
             assert list(residuals) == list(want), (label, theorem_id)
             for name, r in residuals.items():
                 r, w = np.asarray(r)[i], np.asarray(want[name])
@@ -105,11 +105,11 @@ def test_each_battery_body_runs_once_on_the_batch_and_matches_single_points(
 
         calls = []
 
-        def counted(pa, body=body):
+        def counted(pa, body=battery.body):
             calls.append(pa)
             return body(pa)
 
-        monkeypatch.setitem(theorems._BATTERIES, theorem_id, (counted, *row))
+        monkeypatch.setitem(theorems._BATTERIES, theorem_id, replace(battery, body=counted))
         run_suite(scene, theorem_id, diagnostic=True, analyses=batch)
         assert len(calls) == 1, (label, theorem_id)
 

@@ -14,6 +14,8 @@ from parageom.cli import (
     EXIT_FAIL,
     EXIT_INPUT,
     EXIT_PASS,
+    MAX_N,
+    MAX_NUM_SAMPLES,
     cmd_gen_quadric,
     cmd_sweep,
     cmd_verify,
@@ -224,6 +226,10 @@ MALFORMED = [
     ("quadric_radial", ["seed"], -1, "$.scene.seed"),
     ("quadric_radial", ["num_samples"], "x", "$.scene.num_samples"),
     ("quadric_radial", ["num_samples"], 2.5, "$.scene.num_samples"),
+    # Upper bounds: an unbounded count once reached numpy as an array size.
+    ("quadric_radial", ["num_samples"], 10**30, "$.scene.num_samples"),
+    ("quadric_radial", ["num_samples"], MAX_NUM_SAMPLES + 1, "$.scene.num_samples"),
+    ("quadric_radial", ["n"], MAX_N + 1, "$.scene.n"),
     ("quadric_radial", ["sample_box"], INF, "$.scene.sample_box"),
     ("quadric_radial", ["sample_box"], "0.4", "$.scene.sample_box"),
     ("quadric_radial", ["sample_box"], 1e308, "$.scene.sample_box"),
@@ -404,6 +410,9 @@ def test_gen_quadric_negative_n(tmp_path):
         ("--sample-box", "nan"),
         ("--sample-box", "inf"),
         ("--seed", "-1"),
+        ("--num-samples", str(10**30)),
+        ("--num-samples", str(MAX_NUM_SAMPLES + 1)),
+        ("--n", str(MAX_N + 1)),
     ],
 )
 def test_gen_quadric_rejects_what_verify_rejects(tmp_path, capsys, option, value):

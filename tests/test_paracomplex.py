@@ -123,6 +123,19 @@ def test_singular_spec_rejected():
         QuadricSpec(n=1, P=np.ones((2, 2)), R_skew=np.zeros((2, 2)))
 
 
+def test_singularity_test_does_not_tighten_with_size():
+    # cond(A) = 3.3 at every n; a floor on det(A / max|A|) = 0.3^(2n) rejected
+    # this spec at n = 16 and accepted it at n = 4.
+    for n in (4, 16):
+        spec = QuadricSpec(n=n, P=np.diag([1.0] + [0.3] * n), R_skew=np.zeros((n + 1, n + 1)))
+        assert np.linalg.cond(spec.A) < 3.4, n
+    with pytest.raises(ShapeError):
+        QuadricSpec(n=16, P=np.diag([1.0] + [0.3] * 15 + [0.0]), R_skew=np.zeros((17, 17)))
+    # A NaN entry is an input error, not a failed SVD.
+    with pytest.raises(ShapeError, match="finite"):
+        QuadricSpec(n=1, P=np.array([[math.nan, 0.0], [0.0, 1.0]]), R_skew=np.zeros((2, 2)))
+
+
 def test_huge_spec_constructs():
     # The singularity test is relative to max|A|, so no power of it overflows.
     spec = QuadricSpec(n=1, P=np.diag([1e200, -1e200]), R_skew=np.zeros((2, 2)))

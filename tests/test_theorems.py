@@ -325,8 +325,8 @@ def test_degenerate_h_skips_only_the_batteries_that_invert_it():
         bad = replace(batch, ind=replace(batch.ind, h=h))
         # Every body is pure: the degenerate h is a skip of run_suite, never
         # a failure a body writes into the analysis record.
-        for theorem_id, (body, *_) in theorems._BATTERIES.items():
-            body(bad)
+        for theorem_id, battery in theorems._BATTERIES.items():
+            battery.body(bad)
             assert list(bad.pd.faults) == [None] * 3, (ratio, theorem_id)
         # THM_EQUIV first: PROP_NORMAL then reads the normality it cached.
         for suite in ("THM_EQUIV", "PROP_NORMAL", "THM_QUADRIC_CONV"):
@@ -589,6 +589,39 @@ def test_unknown_suite_id():
     scene = hyperbola_scene(samples=[[0.0]])
     with pytest.raises(KeyError):
         run_suite(scene, "THM_NOPE")
+
+
+def test_a_new_battery_is_one_record_run_suite_needs_no_edit(monkeypatch):
+    # A battery with its own verdict rule (ok where the residual exceeds the
+    # tolerance) and an extra column, gated and inverting h: run_suite reads
+    # all of it from the record.  Sample 1's h is degenerate, sample 3 fails
+    # the metric gate.
+    scene = quadric_scene(random_quadric_spec(1, 130), seed=130, num_samples=4)
+    batch = analyze_scene(scene)
+    h, metric = batch.ind.h.copy(), batch.metric.copy()
+    h[1] = np.diag([1.0, 1e-6, -1e-6])
+    metric[3] = 1.0
+    bad = replace(batch, ind=replace(batch.ind, h=h), metric=metric)
+    battery = theorems._Battery(
+        lambda pa: {"x": np.array([0.0, 0.0, 2.0, 2.0]), "info_z0_norm": np.ones((4, 2))},
+        gate="metric",
+        inverts_h=0,
+        verdict=lambda score, tol: [v > tol for v in score[0]["x"]],
+        columns={"signatures": lambda pa: [f"sample {i}" for i in range(len(pa.u))]},
+    )
+    monkeypatch.setitem(theorems._BATTERIES, "THM_NEW", battery)
+    report = run_suite(scene, "THM_NEW", analyses=bad)
+    assert report.gate == "metric" and report.tolerance == scene.tolerances["theorem"]
+    assert report.skip_reasons[0] is None and report.skip_reasons[2] is None
+    assert report.skip_reasons[1].startswith("degenerate: h eigenvalue ratio")
+    assert report.skip_reasons[3] == "gate: structure not metric (residual 1)"
+    assert report.ok == [False, None, True, None] and report.status == "failed"
+    assert report.identities["x"] == [0.0, None, 2.0, None]
+    assert report.to_dict()["signatures"] == ["sample 0", None, "sample 2", None]
+    # The default rule on the same record passes nothing above the tolerance.
+    default = replace(battery, verdict=theorems._within_tolerance)
+    monkeypatch.setitem(theorems._BATTERIES, "THM_NEW", default)
+    assert run_suite(scene, "THM_NEW", analyses=bad).ok == [True, None, False, None]
 
 
 # ----------------------------------------------------------------------
