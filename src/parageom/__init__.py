@@ -49,6 +49,7 @@ from .hypersurface import (
     induced_data,
     perturbed_scene,
     quadric_scene,
+    radial_chart,
     random_graph_scene,
 )
 from .jets import Jet3, analytic, arith, extract_partial, jet_space, seed_variable

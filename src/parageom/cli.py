@@ -12,9 +12,10 @@ Three subcommands:
 * ``sweep <scene.json>``    — re-verify a perturbed scene over a list of
   epsilon values (gates off) and print a residual table.  The samples are
   drawn once, at the file's epsilon, and every epsilon is analysed in one
-  batch over the stacked samples.  The engine self-test runs on that batch
-  but does not set the sweep's exit code: 3 when some epsilon loses more
-  than 10% of its samples, else 0.
+  batch over them, a row per (epsilon, sample) pair; more than 100 rows
+  is an input error.  The engine self-test runs on that batch but does not
+  set the sweep's exit code: 3 when some epsilon loses more than 10% of
+  its samples, else 0.
 
 Exit codes: 0 all selected suites pass, 1 a suite or the engine self-test
 failed, 2 unreadable/invalid input or an unwritable output path, 3 numeric
@@ -40,12 +41,11 @@ from .hypersurface import (
     DEFAULT_TOLERANCES,
     ImmersionScene,
     Polynomial,
-    find_base_point,
     graph_scene,
     hyperbola_scene,
     perturbed_scene,
     quadric_scene,
-    tangent_basis,
+    radial_chart,
 )
 from .paracomplex import QuadricSpec, random_quadric_spec
 from .theorems import SCENE_SUITES, analyze_scene, run_suite
@@ -276,7 +276,7 @@ def run_verification(scene: ImmersionScene, suites, diagnostic=False, timing=Tru
     returns (report dict, exit code).  The report's ``suites`` are the
     ``TheoremReport`` objects; ``cmd_verify`` serializes them."""
     analyses = analyze_scene(scene)
-    total = len(scene.samples)
+    total = 0 if analyses is None else len(analyses.u)
     engine_report = run_suite(scene, "ENGINE", analyses=analyses)
     engine = {k: _scored_max(engine_report, k, math.inf) for k in _ENGINE_IDENTITIES}
     engine["tolerance"] = engine_report.tolerance
@@ -371,9 +371,7 @@ def cmd_verify(path, json_path=None, diagnostic=False, no_timing=False) -> int:
 def quadric_scene_dict(n: int, seed: int, num_samples=DEFAULT_NUM_SAMPLES,
                        sample_box=DEFAULT_SAMPLE_BOX) -> dict:
     """Deterministic scene-file dict for a random quadric with C = x."""
-    spec = random_quadric_spec(n, seed)
-    x0 = find_base_point(spec, np.random.default_rng([seed, 1]))
-    basis = tangent_basis(spec, x0)
+    chart = radial_chart(random_quadric_spec(n, seed), seed)
     return {
         "version": SCENE_VERSION,
         "scene": {
@@ -383,9 +381,9 @@ def quadric_scene_dict(n: int, seed: int, num_samples=DEFAULT_NUM_SAMPLES,
             "num_samples": num_samples,
             "sample_box": sample_box,
             "params": {
-                "quadric": spec.to_dict(),
-                "base_point": x0.tolist(),
-                "tangent_basis": basis.tolist(),
+                "quadric": chart["quadric"].to_dict(),
+                "base_point": chart["base_point"].tolist(),
+                "tangent_basis": chart["basis"].tolist(),
             },
         },
         "tolerances": dict(DEFAULT_TOLERANCES),
@@ -435,14 +433,17 @@ def cmd_sweep(path, values=()) -> int:
         )
         return EXIT_INPUT
 
-    # Row e*S + k of the swept batch is sample k at values[e]; with epsilon
-    # as a column, f and W are evaluated once per sample (``induced_data``).
+    # A sweep row costs what a verify sample costs.
     num = len(scene.samples)
-    swept = dataclasses.replace(
-        scene,
-        params={**scene.params, "epsilon": np.asarray(values)[:, None]},
-        samples=scene.samples * len(values),
-    )
+    if len(values) * num > MAX_NUM_SAMPLES:
+        rows = f"{len(values)} values x {num} samples is more than {MAX_NUM_SAMPLES} rows"
+        print(f"error: --values: {rows}", file=sys.stderr)
+        return EXIT_INPUT
+
+    # With epsilon as a column, ``induced_data`` evaluates f and W once per
+    # sample, and row e*S + k of the batch is sample k at values[e].
+    column = np.asarray(values)[:, None]
+    swept = dataclasses.replace(scene, params={**scene.params, "epsilon": column})
     report, _ = run_verification(
         swept, ["METRIC", "THM_STAU"], diagnostic=True, timing=False
     )

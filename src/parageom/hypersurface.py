@@ -19,10 +19,13 @@ array, so a scene's analysis is computed once per scene, on the stack of its
 samples.  A sample that fails (outside the chart, an ill-conditioned frame)
 is kept in the ``faults`` record of the batch with the message a single
 point raises, and carries harmless values so that it stops no other sample.
-Sampling screens candidate chart points in blocks with order-1 jets of f and
-C, since the frame value B0 is all the screen tests: it builds no order-3
-jet and no ``Frame``, and each kept point is evaluated at order 3 once, by
-its scene's analysis.
+``induced_data`` tests each point against the chart once per analysis;
+``eval_immersion`` only guards its own square root.  A swept scene, whose
+epsilon is a column ``(E, 1)``, takes its S samples once and gives E * S
+rows, row e*S + k being sample k at epsilon[e].  Sampling screens candidate
+chart points in blocks with order-1 jets of f and C, since the frame value
+B0 is all the screen tests: it builds no order-3 jet and no ``Frame``, and
+each kept point is evaluated at order 3 once, by its scene's analysis.
 
 From those come the curvature tensor, the covariant derivative of h, the
 totally symmetric cubic form and the exterior derivative of tau, plus the
@@ -48,6 +51,7 @@ Built-in immersion families:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -180,80 +184,88 @@ def find_base_point(spec: QuadricSpec, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def tangent_basis(spec: QuadricSpec, x0: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the tangent plane {v : (A x0) . v = 0}."""
-    w = spec.A @ np.asarray(x0, dtype=float)
-    _, _, vh = np.linalg.svd(w[None, :])
-    return vh[1:]
-
-
-def _validate_quadric_params(spec: QuadricSpec, x0: np.ndarray, basis: np.ndarray):
-    if abs(float(x0 @ spec.A @ x0) - 1.0) > 1e-9:
-        raise ShapeError("base point does not satisfy x'Ax = 1")
-    m = 2 * spec.n + 1
-    if basis.shape != (m, spec.ambient_dim):
-        raise ShapeError(f"tangent basis shape {basis.shape} != ({m}, {spec.ambient_dim})")
+def radial_chart(
+    spec: QuadricSpec,
+    seed: int = 0,
+    base_point: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
+) -> dict:
+    """The params ``{quadric, base_point, basis}`` of a radial chart on the
+    quadric of ``spec``: the given base point x0, or one found by the seeded
+    search of ``find_base_point``, and the given tangent basis, or an
+    orthonormal one (rows) of the plane {v : (A x0) . v = 0}.  Raises
+    ShapeError unless x0'Ax0 = 1 and the basis is 2n + 1 rows that span
+    that plane."""
+    if base_point is None:
+        base_point = find_base_point(spec, np.random.default_rng([seed, 1]))
+    x0 = np.asarray(base_point, dtype=float)
+    # A huge x0 overflows here, quietly: the check rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not abs(float(x0 @ spec.A @ x0) - 1.0) <= 1e-9:
+            raise ShapeError("base point does not satisfy x'Ax = 1")
     w = spec.A @ x0
+    v = np.linalg.svd(w[None, :])[2][1:] if basis is None else np.asarray(basis, dtype=float)
+    m = 2 * spec.n + 1
+    if v.shape != (m, spec.ambient_dim):
+        raise ShapeError(f"tangent basis shape {v.shape} != ({m}, {spec.ambient_dim})")
     # Relative to |A x0|, so that the test does not depend on the scale of A.
-    if np.max(np.abs(basis @ w)) > 1e-9 * np.linalg.norm(w):
+    if np.max(np.abs(v @ w)) > 1e-9 * np.linalg.norm(w):
         raise ShapeError("tangent basis is not orthogonal to A x0")
-    if np.linalg.matrix_rank(basis, tol=1e-10) != m:
+    if np.linalg.matrix_rank(v, tol=1e-10) != m:
         raise ShapeError("tangent basis does not span the tangent plane")
+    return {"quadric": spec, "base_point": x0, "basis": v}
 
 
-def hyperbola_scene(
+def _scene(
+    family: str,
+    n: int,
+    params: dict,
+    *,
     seed: int = 0,
     num_samples: int = DEFAULT_NUM_SAMPLES,
     sample_box: float = DEFAULT_SAMPLE_BOX,
     tolerances: dict | None = None,
     samples: list | None = None,
 ) -> ImmersionScene:
-    scene = ImmersionScene(
-        family="hyperbola",
-        n=0,
-        params={},
-        tolerances=dict(tolerances or DEFAULT_TOLERANCES),
-    )
-    _attach_samples(scene, seed, num_samples, sample_box, samples)
+    """The scene of every family: its ``tolerances`` (``DEFAULT_TOLERANCES``
+    where None) and the given ``samples``, or ``num_samples`` points drawn
+    from ``seed`` in ``[-sample_box, sample_box]^m``.  Its keywords are the
+    scene keywords that every family constructor takes."""
+    scene = ImmersionScene(family, n, params, tolerances=dict(tolerances or DEFAULT_TOLERANCES))
+    if samples is None:
+        scene.samples = draw_samples(scene, seed, num_samples, sample_box)
+    else:
+        scene.samples = [np.asarray(s, dtype=float) for s in samples]
     return scene
+
+
+def hyperbola_scene(**kw) -> ImmersionScene:
+    """(cosh t, sinh t) with the position transversal; ``kw`` are the scene
+    keywords of ``_scene``."""
+    return _scene("hyperbola", 0, {}, **kw)
 
 
 def quadric_scene(
     spec: QuadricSpec,
     seed: int = 0,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    sample_box: float = DEFAULT_SAMPLE_BOX,
-    tolerances: dict | None = None,
     base_point: np.ndarray | None = None,
     basis: np.ndarray | None = None,
-    samples: list | None = None,
+    **kw,
 ) -> ImmersionScene:
-    """Radial chart on a centered quadric with the position transversal C = x."""
-    rng = np.random.default_rng([seed, 1])
-    x0 = np.asarray(base_point, dtype=float) if base_point is not None else find_base_point(spec, rng)
-    v = np.asarray(basis, dtype=float) if basis is not None else tangent_basis(spec, x0)
-    _validate_quadric_params(spec, x0, v)
-    scene = ImmersionScene(
-        family="quadric_radial",
-        n=spec.n,
-        params={"quadric": spec, "base_point": x0, "basis": v},
-        tolerances=dict(tolerances or DEFAULT_TOLERANCES),
-    )
-    _attach_samples(scene, seed, num_samples, sample_box, samples)
-    return scene
+    """Radial chart on a centered quadric (``radial_chart``) with the
+    position transversal C = x."""
+    chart = radial_chart(spec, seed, base_point, basis)
+    return _scene("quadric_radial", spec.n, chart, seed=seed, **kw)
 
 
 def perturbed_scene(
     spec: QuadricSpec,
     epsilon: float,
     seed: int = 0,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    sample_box: float = DEFAULT_SAMPLE_BOX,
-    tolerances: dict | None = None,
     base_point: np.ndarray | None = None,
     basis: np.ndarray | None = None,
     direction: np.ndarray | None = None,
-    samples: list | None = None,
+    **kw,
 ) -> ImmersionScene:
     """Quadric immersion with transversal C = x + eps * W.
 
@@ -265,35 +277,19 @@ def perturbed_scene(
     if spec.n < 1:
         # ker(eta) is {0} at n = 0: there is no J-invariant direction to add.
         raise GenerationError("perturbed_transversal scenes require n >= 1")
-    rng = np.random.default_rng([seed, 1])
-    x0 = np.asarray(base_point, dtype=float) if base_point is not None else find_base_point(spec, rng)
-    v = np.asarray(basis, dtype=float) if basis is not None else tangent_basis(spec, x0)
-    _validate_quadric_params(spec, x0, v)
+    chart = radial_chart(spec, seed, base_point, basis)
     if direction is None:
         dir_rng = np.random.default_rng([seed, 3])
         for _ in range(100):
             w = dir_rng.normal(size=spec.ambient_dim)
-            w0 = _project_to_invariant(spec.A, x0, w)
-            norm = float(np.linalg.norm(w0))
+            norm = float(np.linalg.norm(_project_to_invariant(spec.A, chart["base_point"], w)))
             if norm > 0.3:
                 direction = w / norm
                 break
         else:
             raise GenerationError("could not find a usable perturbation direction")
-    scene = ImmersionScene(
-        family="perturbed_transversal",
-        n=spec.n,
-        params={
-            "quadric": spec,
-            "base_point": x0,
-            "basis": v,
-            "epsilon": float(epsilon),
-            "direction": np.asarray(direction, dtype=float),
-        },
-        tolerances=dict(tolerances or DEFAULT_TOLERANCES),
-    )
-    _attach_samples(scene, seed, num_samples, sample_box, samples)
-    return scene
+    params = {**chart, "epsilon": float(epsilon), "direction": np.asarray(direction, dtype=float)}
+    return _scene("perturbed_transversal", spec.n, params, seed=seed, **kw)
 
 
 def _project_to_invariant(a_mat: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -303,15 +299,7 @@ def _project_to_invariant(a_mat: np.ndarray, x: np.ndarray, w: np.ndarray) -> np
     return w - float(x @ a_mat @ w) * x - float(x @ a_mat @ apply_J(w)) * jx
 
 
-def graph_scene(
-    graph: Polynomial,
-    transversal: list | None = None,
-    seed: int = 0,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    sample_box: float = DEFAULT_SAMPLE_BOX,
-    tolerances: dict | None = None,
-    samples: list | None = None,
-) -> ImmersionScene:
+def graph_scene(graph: Polynomial, transversal: list | None = None, **kw) -> ImmersionScene:
     """Graph immersion u -> (u, g(u)) with a polynomial transversal field.
 
     The default transversal is the constant last coordinate vector.
@@ -319,31 +307,15 @@ def graph_scene(
     m = graph.num_vars
     if m % 2 != 1:
         raise ShapeError(f"graph chart dimension must be odd, got {m}")
-    n = (m - 1) // 2
-    dim = m + 1
     if transversal is None:
-        transversal = [
-            Polynomial(m, [((0,) * m, 1.0 if r == m else 0.0)]) for r in range(dim)
-        ]
-    if len(transversal) != dim:
-        raise ShapeError(f"transversal needs {dim} components, got {len(transversal)}")
-    scene = ImmersionScene(
-        family="explicit_graph",
-        n=n,
-        params={"graph": graph, "transversal": list(transversal)},
-        tolerances=dict(tolerances or DEFAULT_TOLERANCES),
-    )
-    _attach_samples(scene, seed, num_samples, sample_box, samples)
-    return scene
+        transversal = [Polynomial(m, [((0,) * m, float(r == m))]) for r in range(m + 1)]
+    if len(transversal) != m + 1:
+        raise ShapeError(f"transversal needs {m + 1} components, got {len(transversal)}")
+    params = {"graph": graph, "transversal": list(transversal)}
+    return _scene("explicit_graph", (m - 1) // 2, params, **kw)
 
 
-def random_graph_scene(
-    n: int,
-    seed: int,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    sample_box: float = DEFAULT_SAMPLE_BOX,
-    tolerances: dict | None = None,
-) -> ImmersionScene:
+def random_graph_scene(n: int, seed: int, **kw) -> ImmersionScene:
     """Nondegenerate random cubic graph with a mildly perturbed transversal.
 
     The quadratic part has Hessian diag(+-1) so h stays invertible on small
@@ -353,37 +325,19 @@ def random_graph_scene(
     m = 2 * n + 1
     rng = np.random.default_rng([seed, 4])
     signs = rng.choice([-1.0, 1.0], size=m)
-    terms = []
-    for i in range(m):
-        e2 = [0] * m
-        e2[i] = 2
-        terms.append((tuple(e2), 0.5 * signs[i]))
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(j, m):
-                alpha = [0] * m
-                alpha[i] += 1
-                alpha[j] += 1
-                alpha[k] += 1
-                terms.append((tuple(alpha), GRAPH_CUBIC_SCALE * rng.uniform(-1.0, 1.0)))
-    graph = Polynomial(m, terms)
-    dim = m + 1
-    transversal = []
-    for r in range(dim):
-        t = [((0,) * m, 1.0 if r == m else 0.0)]
-        for i in range(m):
-            e1 = [0] * m
-            e1[i] = 1
-            t.append((tuple(e1), 0.2 * rng.uniform(-1.0, 1.0)))
-        transversal.append(Polynomial(m, t))
-    return graph_scene(
-        graph,
-        transversal,
-        seed=seed,
-        num_samples=num_samples,
-        sample_box=sample_box,
-        tolerances=tolerances,
-    )
+    eye = np.eye(m, dtype=int)
+    terms = list(zip(2 * eye, 0.5 * signs))
+    terms += [
+        (np.bincount(idx, minlength=m), GRAPH_CUBIC_SCALE * rng.uniform(-1.0, 1.0))
+        for idx in itertools.combinations_with_replacement(range(m), 3)
+    ]
+    transversal = [
+        Polynomial(
+            m, [((0,) * m, float(r == m))] + [(e, 0.2 * rng.uniform(-1.0, 1.0)) for e in eye]
+        )
+        for r in range(m + 1)
+    ]
+    return graph_scene(Polynomial(m, terms), transversal, seed=seed, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -396,20 +350,18 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
 
     Returns ``(f, C)`` as ``(ambient_dim, ncoeff)`` coefficient arrays, or
     ``(..., ambient_dim, ncoeff)`` for a ``(..., m)`` stack of points.  The
-    coefficients of degree <= 1 do not depend on ``order``.  A point outside
-    the radial chart raises ChartLeak; ``induced_data`` keeps such points of
-    a stack out beforehand.  A perturbed scene's ``params["epsilon"]`` is a
-    scalar or an array that broadcasts against the stack's shape
-    ``u.shape[:-1]``, so one call can evaluate ``C = x + eps W`` at several
-    epsilons: one value per point, or a column ``(E, 1)`` against ``S``
-    points, which evaluates f and W once per point and gives ``(E, S, ...)``
-    for both f and C.  A perturbed scene's f is a read-only view, broadcast
-    to the shape of C.
+    coefficients of degree <= 1 do not depend on ``order``.  The radial
+    chart guards the value of its own jet q = y'Ay before the square root:
+    a point where it is <= 0 raises ChartLeak, since ``induced_data`` (the
+    one chart test of an analysis) and ``draw_samples`` keep such points out
+    beforehand.  A perturbed scene's ``params["epsilon"]`` is a scalar or an
+    array that broadcasts against the stack's shape ``u.shape[:-1]``, so one
+    call can evaluate ``C = x + eps W`` at several epsilons: one value per
+    point, or a column ``(E, 1)`` against ``S`` points, which evaluates f
+    and W once per point and gives ``(E, S, ...)`` for both f and C.  A
+    perturbed scene's f is a read-only view, broadcast to the shape of C.
     """
     u = np.asarray(u, dtype=float)
-    for fault in _chart_faults(scene, u).flat:
-        if fault is not None:
-            raise fault
     m = scene.chart_dim
     space = jet_space(m, order)
 
@@ -431,6 +383,9 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
         ay[..., : m + 1] = np.einsum("rs,...sc->...rc", spec.A, y)
         q = np.zeros(u.shape[:-1] + (space.ncoeff,))
         q[..., :k] = space.affine_mul(y[..., None, :], ay).sum(axis=(-3, -2))
+        outside = q[..., 0][q[..., 0] <= 0.0]
+        if outside.size:
+            raise ChartLeak(f"quadric value {outside[0]:.3g} <= 0 at chart point")
         # s = q^(-1/2) about q0, r = q0^(-1/2); products, not powers, so a
         # row of a stack rounds as a single point does.
         r = 1.0 / np.sqrt(q[..., 0])
@@ -457,19 +412,6 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
     f[..., m, :] = graph.eval_jets(space, seeds)
     c = np.stack([p.eval_jets(space, seeds) for p in scene.params["transversal"]], axis=-2)
     return f, c
-
-
-def _chart_faults(scene: ImmersionScene, u: np.ndarray) -> np.ndarray:
-    """The failure record of the chart points ``u`` (..., m): a ChartLeak for
-    each point outside the radial chart, where the chart quality is <= 0."""
-    if u.shape[-1:] != (scene.chart_dim,):
-        raise ShapeError(f"chart point shape {u.shape} != (..., {scene.chart_dim})")
-    q = _chart_quality(scene, u)
-    faults = no_failures(q.shape)
-    record_failures(
-        faults, q <= 0.0, lambda k: ChartLeak(f"quadric value {q.flat[k]:.3g} <= 0 at chart point")
-    )
-    return faults
 
 
 def _frame_value(f_jet: np.ndarray, C_jet: np.ndarray):
@@ -648,30 +590,29 @@ class DerivedTensors:
 
 def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     """Gamma, h, S, tau and their first derivatives at a chart point ``(m,)``,
-    or at every point of a ``(S, m)`` stack in one pass.  A single point
+    or at every point of a ``(S, m)`` stack in one pass.  This is the chart
+    test of an analysis: a point outside the radial chart (y'Ay <= 0) gets a
+    ChartLeak and is evaluated at the chart centre instead.  A single point
     raises its ChartLeak or DegenerateFrame; a stack keeps them in
     ``faults``.
 
-    A perturbed scene whose epsilon is a column ``(E, 1)`` takes a stack of
-    E copies of the same S points, row e*S + k being point k at epsilon[e]
-    (a swept scene); f and W are evaluated once per point, and only C once
-    per row."""
+    A perturbed scene whose epsilon is a column ``(E, 1)`` (a swept scene)
+    takes the S points once and returns E * S rows, row e*S + k being point
+    k at epsilon[e], with ``u`` and the chart faults tiled to match; f and W
+    are evaluated once per point, and only C once per row."""
     u = np.asarray(u, dtype=float)
-    faults = _chart_faults(scene, u)
-    outside = failed(faults)
-    # A point outside the chart is evaluated at the chart centre instead.
-    points = np.where(outside[..., None], 0.0, u)
-    blocks = np.shape(scene.params.get("epsilon"))
-    if len(blocks) == 2:
-        num = len(u) // blocks[0]
-        tiled = np.broadcast_to(u[:num], (blocks[0],) + u[:num].shape)
-        if u.shape != (blocks[0] * num, scene.chart_dim) or not np.array_equal(
-            u.reshape(tiled.shape), tiled, equal_nan=True
-        ):
-            raise ShapeError(f"a column of {blocks[0]} epsilons needs as many copies of one stack")
-        points = points[:num]
-    f, c = eval_immersion(scene, points)
-    f, c = f.reshape(u.shape[:-1] + f.shape[-2:]), c.reshape(u.shape[:-1] + c.shape[-2:])
+    if u.shape[-1:] != (scene.chart_dim,):
+        raise ShapeError(f"chart point shape {u.shape} != (..., {scene.chart_dim})")
+    q = _chart_quality(scene, u)
+    faults = no_failures(q.shape)
+    outside = record_failures(
+        faults, q <= 0.0, lambda k: ChartLeak(f"quadric value {q.flat[k]:.3g} <= 0 at chart point")
+    )
+    f, c = eval_immersion(scene, np.where(outside[..., None], 0.0, u))
+    if np.ndim(scene.params.get("epsilon")) == 2:
+        rows = len(c)
+        f, c = f.reshape((-1,) + f.shape[-2:]), c.reshape((-1,) + c.shape[-2:])
+        u, faults, outside = np.tile(u, (rows, 1)), np.tile(faults, rows), np.tile(outside, rows)
     frame = Frame(jet_space(scene.chart_dim), f, c)
     m = frame.m
     iu, ju = np.triu_indices(m)
@@ -816,10 +757,3 @@ def draw_samples(
     if not samples:
         raise NoAdmissibleSamples("no admissible sample points found in the chart box")
     return samples
-
-
-def _attach_samples(scene, seed, num_samples, sample_box, samples):
-    if samples is not None:
-        scene.samples = [np.asarray(s, dtype=float) for s in samples]
-    else:
-        scene.samples = draw_samples(scene, seed, num_samples, sample_box)

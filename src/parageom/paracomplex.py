@@ -76,8 +76,10 @@ class QuadricSpec:
             raise ShapeError(
                 f"P and R_skew must be {size}x{size}, got {P.shape} and {R.shape}"
             )
-        self.P = 0.5 * (P + P.T)
-        self.R_skew = 0.5 * (R - R.T)
+        # Huge entries overflow here, quietly: the finiteness check rejects them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.P = 0.5 * (P + P.T)
+            self.R_skew = 0.5 * (R - R.T)
         self.A = np.block(
             [[self.P, self.R_skew], [-self.R_skew, -self.P]]
         )

@@ -134,11 +134,12 @@ class PointAnalysis:
 def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
     """Everything the batteries read at a chart point ``(m,)``, which raises
     its ChartLeak or DegenerateFrame, or at every point of a ``(S, m)`` stack
-    in one pass, which keeps them in ``pd.faults``."""
+    in one pass, which keeps them in ``pd.faults``.  A swept scene's batch
+    has a row per (epsilon, point) pair, as ``induced_data`` returns them."""
     ind = induced_data(scene, u)
     der = derive_tensors(ind)
     pd = induced_structure(ind)
-    return PointAnalysis(np.asarray(u, dtype=float), ind, der, pd, metric_residual(pd, ind.h))
+    return PointAnalysis(ind.u, ind, der, pd, metric_residual(pd, ind.h))
 
 
 def analyze_scene(scene: ImmersionScene) -> PointAnalysis | None:

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from parageom.cli import (
     main,
     quadric_scene_dict,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_scene(tmp_path, data, name="scene.json"):
@@ -163,6 +166,26 @@ def test_huge_quadric_entries_exit_2(tmp_path, capsys):
     assert cmd_verify(path) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: $.scene") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "keys, err",
+    [
+        (["params", "quadric", "P", 0, 0], "error: $.scene: quadric matrix entries must be finite\n"),
+        (["params", "base_point", 0], "error: $.scene: base point does not satisfy x'Ax = 1\n"),
+    ],
+    ids=["P", "base_point"],
+)
+def test_overflowing_field_exits_2_without_a_warning(tmp_path, capsys, keys, err):
+    # 1e308 is finite, but P + P^T and x'Ax overflow on it; the check that
+    # rejects it must come first, with no RuntimeWarning before it.
+    data = json.loads((DATA / "quadric_n1.json").read_text(encoding="utf-8"))
+    target = data["scene"]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = 1e308
+    assert main(["verify", write_scene(tmp_path, data)]) == EXIT_INPUT
+    assert capsys.readouterr().err == err
 
 
 def test_verify_missing_file():
@@ -480,6 +503,18 @@ def test_sweep_epsilon_zero_matches_plain_quadric(tmp_path):
     for i, fault in enumerate(batch.pd.faults):
         assert fault is None
         assert np.max(np.abs(batch.metric[i])) <= 1e-8
+
+
+def test_sweep_rows_are_bounded_like_samples(capsys):
+    # A sweep row costs what a verify sample costs: values x samples is
+    # bounded by MAX_NUM_SAMPLES, checked before any analysis.
+    path = str(DATA / "perturbed_n1.json")
+    assert len(load_scene_file(path)[0].samples) * 25 == MAX_NUM_SAMPLES
+    assert main(["sweep", path, "--values", ",".join(["0.01"] * 26)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --values: ") and err.count("\n") == 1
+    assert main(["sweep", path, "--values", ",".join(["0.01"] * 25)]) == EXIT_PASS
 
 
 def test_sweep_empty_values(tmp_path):

@@ -11,19 +11,17 @@ from parageom.hypersurface import (
     CHART_Q_MIN,
     Frame,
     Polynomial,
-    _validate_quadric_params,
     derive_tensors,
     draw_samples,
     eval_immersion,
-    find_base_point,
     fundamental_residuals,
     graph_scene,
     hyperbola_scene,
     induced_data,
     perturbed_scene,
     quadric_scene,
+    radial_chart,
     random_graph_scene,
-    tangent_basis,
 )
 from parageom.jets import _jet_space
 from parageom.paracomplex import QuadricSpec, random_quadric_spec
@@ -272,14 +270,13 @@ def test_quadric_basis_orthogonality_is_relative_to_a_x0():
     # to rounding of that size, and validates; a basis tilted towards A x0
     # by 1e-6 still does not.
     spec = QuadricSpec(n=1, P=np.diag([1e200, -1e200]), R_skew=np.zeros((2, 2)))
-    x0 = find_base_point(spec, np.random.default_rng([0, 1]))
-    basis = tangent_basis(spec, x0)
-    _validate_quadric_params(spec, x0, basis)
+    chart = radial_chart(spec)
+    x0 = chart["base_point"]
     w = spec.A @ x0
-    tilted = basis.copy()
+    tilted = chart["basis"].copy()
     tilted[0] += 1e-6 * w / np.linalg.norm(w)
     with pytest.raises(ShapeError, match="not orthogonal"):
-        _validate_quadric_params(spec, x0, tilted)
+        radial_chart(spec, base_point=x0, basis=tilted)
 
 
 def test_perturbed_scene_rejects_n0():
@@ -315,6 +312,47 @@ def test_random_quadratic_graph_h_equals_hessian():
     for u in scene.samples:
         ind = induced_data(scene, u)
         np.testing.assert_allclose(ind.h, hess, atol=1e-11)
+
+
+# Terms of random_graph_scene(n, seed): the seeded draw order is part of the
+# scene, since a scene file of the graph family is written from them.
+RANDOM_GRAPH_TERMS = {
+    (0, 0): (
+        [((2,), -0.5), ((3,), -0.16284439692325114)],
+        [
+            [((0,), 0.0), ((1,), -0.035741361714601405)],
+            [((0,), 1.0), ((1,), -0.021322687751940975)],
+        ],
+    ),
+    (1, 7): (
+        [
+            ((2, 0, 0), 0.5), ((0, 2, 0), -0.5), ((0, 0, 2), 0.5),
+            ((3, 0, 0), -0.017253498128314514), ((2, 1, 0), 0.010680693278318842),
+            ((2, 0, 1), -0.08922701940793654), ((1, 2, 0), -0.15253642740978185),
+            ((1, 1, 1), -0.26627631193647655), ((1, 0, 2), 0.14801803643059708),
+            ((0, 3, 0), 0.012256773059843894), ((0, 2, 1), -0.18037779181730348),
+            ((0, 1, 2), 0.0720274103664041), ((0, 0, 3), 0.008969156255903287),
+        ],
+        [
+            [((0, 0, 0), 0.0), ((1, 0, 0), -0.0709585528485238),
+             ((0, 1, 0), -0.14820230985978258), ((0, 0, 1), -0.05145915378033794)],
+            [((0, 0, 0), 0.0), ((1, 0, 0), -0.09857686523302728),
+             ((0, 1, 0), -0.17029187878604699), ((0, 0, 1), -0.15408263705511113)],
+            [((0, 0, 0), 0.0), ((1, 0, 0), 0.19425820942838065),
+             ((0, 1, 0), 0.174640920702746), ((0, 0, 1), -0.04083015405684707)],
+            [((0, 0, 0), 1.0), ((1, 0, 0), 0.1560923283403866),
+             ((0, 1, 0), 0.1375143728544455), ((0, 0, 1), 0.06401423711371738)],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("n, seed", list(RANDOM_GRAPH_TERMS))
+def test_random_graph_scene_terms_are_pinned(n, seed):
+    graph, transversal = RANDOM_GRAPH_TERMS[n, seed]
+    scene = random_graph_scene(n, seed, num_samples=1)
+    assert scene.params["graph"].terms == graph
+    assert [p.terms for p in scene.params["transversal"]] == transversal
 
 
 # ----------------------------------------------------------------------
@@ -424,6 +462,24 @@ def test_draw_samples_respects_chart():
     scene = quadric_scene(random_quadric_spec(2, 56), seed=22)
     for u in scene.samples:
         assert _chart_quality(scene, u) > 0.1
+
+
+def test_analysis_tests_each_point_against_the_chart_once(monkeypatch):
+    # induced_data is the one chart test of an analysis; eval_immersion only
+    # guards the value of its own q jet.
+    from parageom import hypersurface
+
+    scene = quadric_scene(random_quadric_spec(1, 57), seed=23, num_samples=5)
+    calls = []
+    real = hypersurface._chart_quality
+
+    def counted(scene, u):
+        calls.append(np.shape(u))
+        return real(scene, u)
+
+    monkeypatch.setattr(hypersurface, "_chart_quality", counted)
+    analyze_scene(scene)
+    assert calls == [(5, 3)]
 
 
 def reference_screen(scene, seed, num_samples, sample_box):

@@ -1,7 +1,7 @@
 """The batched epsilon sweep against its golden table and its per-epsilon loop.
 
-``parageom sweep`` analyses every epsilon in one batch: row e*S + k of the
-swept stack is sample k at values[e].  The reference below keeps the
+``parageom sweep`` analyses every epsilon in one batch over the scene's own
+S samples: row e*S + k of the batch is sample k at values[e].  The reference below keeps the
 algorithm it replaced, one ``run_verification`` per epsilon on the scene
 with that epsilon, and both must print the same table and exit alike.
 
@@ -27,7 +27,6 @@ from parageom.cli import (
     run_verification,
 )
 from parageom import hypersurface
-from parageom.errors import ShapeError
 from parageom.hypersurface import eval_immersion, induced_data, perturbed_scene
 from parageom.jets import MAX_ORDER
 from parageom.paracomplex import random_quadric_spec
@@ -151,23 +150,18 @@ def test_sweep_evaluates_the_immersion_once_per_sample(capsys, monkeypatch):
 
 
 def test_epsilon_column_matches_one_epsilon_per_row():
-    # A column of epsilons over E copies of the stack gives, bit for bit,
-    # the analysis with one epsilon per row; it needs those copies.
+    # A column of epsilons over the S points gives E * S rows, bit for bit
+    # the analysis of E copies of the points with one epsilon per row.
     spec = random_quadric_spec(2, 3)
     scene = perturbed_scene(spec, 0.1, seed=3, num_samples=4)
     values = np.array([0.3, 0.0, 1e-6])
-    u = np.concatenate([np.stack(scene.samples)] * len(values))
+    points = np.stack(scene.samples)
+    u = np.concatenate([points] * len(values))
     per_row = induced_data(
         dataclasses.replace(scene, params={**scene.params, "epsilon": np.repeat(values, 4)}), u
     )
     column = dataclasses.replace(scene, params={**scene.params, "epsilon": values[:, None]})
-    got = induced_data(column, u)
-    for name in ("Gamma", "h", "S", "tau", "dGamma", "dh", "dS", "dtau_raw"):
+    got = induced_data(column, points)
+    for name in ("u", "Gamma", "h", "S", "tau", "dGamma", "dh", "dS", "dtau_raw"):
         assert np.array_equal(getattr(got, name), getattr(per_row, name)), name
     assert list(got.faults) == list(per_row.faults)
-    shuffled = u.copy()
-    shuffled[[4, 5]] = u[[5, 4]]
-    with pytest.raises(ShapeError):
-        induced_data(column, shuffled)
-    with pytest.raises(ShapeError):
-        induced_data(column, u[:-1])
