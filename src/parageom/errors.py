@@ -53,7 +53,7 @@ def no_failures(shape) -> np.ndarray:
 
 def failed(faults: np.ndarray) -> np.ndarray:
     """Where a failure record holds a failure."""
-    return np.array([f is not None for f in faults.flat], dtype=bool).reshape(faults.shape)
+    return np.not_equal(faults, None)
 
 
 def record_failures(faults: np.ndarray, bad, failure) -> np.ndarray:

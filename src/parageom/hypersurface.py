@@ -15,17 +15,17 @@ decompositions are exact truncated-polynomial linear solves.
 
 Everything from ``eval_immersion`` to ``residuals_from_data`` takes one chart
 point ``(m,)`` or a stack ``(S, m)``, with the sample axis in front of every
-array, so a scene's analysis is computed once per scene, on the stack of its
-samples.  A sample that fails (outside the chart, an ill-conditioned frame)
-is kept in the ``faults`` record of the batch with the message a single
-point raises, and carries harmless values so that it stops no other sample.
-``induced_data`` tests each point against the chart once per analysis;
-``eval_immersion`` only guards its own square root.  A swept scene, whose
-epsilon is a column ``(E, 1)``, takes its S samples once and gives E * S
-rows, row e*S + k being sample k at epsilon[e].  Sampling screens candidate
-chart points in blocks with order-1 jets of f and C, since the frame value
-B0 is all the screen tests: it builds no order-3 jet and no ``Frame``, and
-each kept point is evaluated at order 3 once, by its scene's analysis.
+array, so a scene is analysed once, on the ``(S, m)`` array of its samples.
+A row that fails (outside the chart, an ill-conditioned frame) is kept in
+the ``faults`` record of the batch with the message a single point raises,
+and carries harmless values so that it stops no other row.  ``induced_data``
+tests each point against the chart once per analysis; ``eval_immersion``
+only guards its own square root.  A swept scene, whose epsilon is a column
+``(E, 1)``, takes its S samples once and gives E * S rows, row e*S + k
+being sample k at epsilon[e].  Sampling screens candidate chart points in
+blocks with order-1 jets of f and C, since the frame value B0 is all the
+screen tests: it builds no order-3 jet and no ``Frame``, and each kept
+point is evaluated at order 3 once, by its scene's analysis.
 
 From those come the curvature tensor, the covariant derivative of h, the
 totally symmetric cubic form and the exterior derivative of tau, plus the
@@ -148,7 +148,7 @@ class ImmersionScene:
     family: str
     n: int
     params: dict
-    samples: list = field(default_factory=list)
+    samples: np.ndarray | None = None  # (S, m) chart points; None: no rows
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
@@ -156,14 +156,11 @@ class ImmersionScene:
             raise ShapeError(f"unknown immersion family {self.family!r}")
         if self.n < 0:
             raise ShapeError(f"n must be >= 0, got {self.n}")
+        self.samples = np.empty((0, self.chart_dim)) if self.samples is None else self.samples
 
     @property
     def chart_dim(self) -> int:
         return 2 * self.n + 1
-
-    @property
-    def ambient_dim(self) -> int:
-        return 2 * self.n + 2
 
 
 def find_base_point(spec: QuadricSpec, rng: np.random.Generator) -> np.ndarray:
@@ -225,7 +222,7 @@ def _scene(
     num_samples: int = DEFAULT_NUM_SAMPLES,
     sample_box: float = DEFAULT_SAMPLE_BOX,
     tolerances: dict | None = None,
-    samples: list | None = None,
+    samples=None,
 ) -> ImmersionScene:
     """The scene of every family: its ``tolerances`` (``DEFAULT_TOLERANCES``
     where None) and the given ``samples``, or ``num_samples`` points drawn
@@ -235,7 +232,7 @@ def _scene(
     if samples is None:
         scene.samples = draw_samples(scene, seed, num_samples, sample_box)
     else:
-        scene.samples = [np.asarray(s, dtype=float) for s in samples]
+        scene.samples = np.array(samples, dtype=float)
     return scene
 
 
@@ -352,14 +349,14 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
     ``(..., ambient_dim, ncoeff)`` for a ``(..., m)`` stack of points.  The
     coefficients of degree <= 1 do not depend on ``order``.  The radial
     chart guards the value of its own jet q = y'Ay before the square root:
-    a point where it is <= 0 raises ChartLeak, since ``induced_data`` (the
-    one chart test of an analysis) and ``draw_samples`` keep such points out
-    beforehand.  A perturbed scene's ``params["epsilon"]`` is a scalar or an
-    array that broadcasts against the stack's shape ``u.shape[:-1]``, so one
-    call can evaluate ``C = x + eps W`` at several epsilons: one value per
-    point, or a column ``(E, 1)`` against ``S`` points, which evaluates f
-    and W once per point and gives ``(E, S, ...)`` for both f and C.  A
-    perturbed scene's f is a read-only view, broadcast to the shape of C.
+    a single point where it is <= 0 raises ChartLeak, and a row of a stack
+    carries NaN, which ``Frame`` keeps as its DegenerateFrame.  A perturbed
+    scene's ``params["epsilon"]`` is a scalar or an array that broadcasts
+    against the stack's shape ``u.shape[:-1]``, so one call can evaluate
+    ``C = x + eps W`` at several epsilons: one value per point, or a column
+    ``(E, 1)`` against ``S`` points, which evaluates f and W once per point
+    and gives ``(E, S, ...)`` for both f and C.  A perturbed scene's f is a
+    read-only view, broadcast to the shape of C.
     """
     u = np.asarray(u, dtype=float)
     m = scene.chart_dim
@@ -383,12 +380,11 @@ def eval_immersion(scene: ImmersionScene, u: np.ndarray, order: int = MAX_ORDER)
         ay[..., : m + 1] = np.einsum("rs,...sc->...rc", spec.A, y)
         q = np.zeros(u.shape[:-1] + (space.ncoeff,))
         q[..., :k] = space.affine_mul(y[..., None, :], ay).sum(axis=(-3, -2))
-        outside = q[..., 0][q[..., 0] <= 0.0]
-        if outside.size:
-            raise ChartLeak(f"quadric value {outside[0]:.3g} <= 0 at chart point")
-        # s = q^(-1/2) about q0, r = q0^(-1/2); products, not powers, so a
-        # row of a stack rounds as a single point does.
-        r = 1.0 / np.sqrt(q[..., 0])
+        q0 = q[..., 0]
+        _chart_leaks(no_failures(q0.shape), q0)  # raises for a single point only
+        # s = q^(-1/2) about q0, r = q0^(-1/2), NaN on a stack's row outside the
+        # chart; products, not powers, so a row rounds as a single point does.
+        r = 1.0 / np.sqrt(np.where(q0 > 0.0, q0, np.nan))
         t = r * r
         s = space.compose(q, r, -0.5 * r * t, 0.375 * r * t * t, -0.3125 * r * t * t * t)
         f = space.affine_mul(y, s)
@@ -592,9 +588,8 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
     """Gamma, h, S, tau and their first derivatives at a chart point ``(m,)``,
     or at every point of a ``(S, m)`` stack in one pass.  This is the chart
     test of an analysis: a point outside the radial chart (y'Ay <= 0) gets a
-    ChartLeak and is evaluated at the chart centre instead.  A single point
-    raises its ChartLeak or DegenerateFrame; a stack keeps them in
-    ``faults``.
+    ChartLeak.  A single point raises its ChartLeak or DegenerateFrame; a
+    stack keeps them in ``faults``.
 
     A perturbed scene whose epsilon is a column ``(E, 1)`` (a swept scene)
     takes the S points once and returns E * S rows, row e*S + k being point
@@ -605,10 +600,8 @@ def induced_data(scene: ImmersionScene, u: np.ndarray) -> InducedData:
         raise ShapeError(f"chart point shape {u.shape} != (..., {scene.chart_dim})")
     q = _chart_quality(scene, u)
     faults = no_failures(q.shape)
-    outside = record_failures(
-        faults, q <= 0.0, lambda k: ChartLeak(f"quadric value {q.flat[k]:.3g} <= 0 at chart point")
-    )
-    f, c = eval_immersion(scene, np.where(outside[..., None], 0.0, u))
+    outside = _chart_leaks(faults, q)
+    f, c = eval_immersion(scene, u)
     if np.ndim(scene.params.get("epsilon")) == 2:
         rows = len(c)
         f, c = f.reshape((-1,) + f.shape[-2:]), c.reshape((-1,) + c.shape[-2:])
@@ -721,12 +714,18 @@ def _chart_quality(scene: ImmersionScene, u: np.ndarray) -> np.ndarray:
     return np.ones(u.shape[:-1])
 
 
+def _chart_leaks(faults: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``record_failures`` of a ChartLeak at each quadric value ``q`` <= 0."""
+    message = "quadric value {:.3g} <= 0 at chart point"
+    return record_failures(faults, q <= 0.0, lambda k: ChartLeak(message.format(q.flat[k])))
+
+
 def draw_samples(
     scene: ImmersionScene,
     seed: int,
     num_samples: int,
     sample_box: float = DEFAULT_SAMPLE_BOX,
-) -> list:
+) -> np.ndarray:
     """Seeded chart points in [-box, box]^m, rejecting points that leave the
     chart (quadric value <= 0.1, or not finite) or whose frame value is not
     finite or too ill-conditioned.
@@ -734,13 +733,14 @@ def draw_samples(
     Candidates are screened in blocks of as many as are still missing: one
     order-1 evaluation of f and C per block, which fixes the frame values B0
     exactly, and one stacked condition test, the one ``Frame`` applies.  The
-    first ``num_samples`` that pass are kept in draw order, so the points
-    are those a one-by-one screen keeps, within the same candidate budget."""
+    first ``num_samples`` that pass are the rows, in draw order, of the
+    ``(S, m)`` array returned: those a one-by-one screen keeps, within the
+    same candidate budget."""
     if num_samples < 1:
         raise ShapeError(f"num_samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng([seed, 2])
     m = scene.chart_dim
-    samples = []
+    samples = np.empty((0, m))
     budget = 50 * num_samples + 100
     while len(samples) < num_samples and budget > 0:
         block = rng.uniform(-sample_box, sample_box, size=(min(budget, num_samples - len(samples)), m))
@@ -753,7 +753,7 @@ def draw_samples(
         with np.errstate(over="ignore", invalid="ignore"):
             f, c = eval_immersion(scene, block, order=1)
         _, _, faults = _frame_value(f, c)
-        samples += [u for u, fault in zip(block, faults) if fault is None]
-    if not samples:
+        samples = np.concatenate([samples, block[~failed(faults)]])
+    if not len(samples):
         raise NoAdmissibleSamples("no admissible sample points found in the chart box")
     return samples

@@ -144,8 +144,8 @@ def analyze_point(scene: ImmersionScene, u: np.ndarray) -> PointAnalysis:
 
 def analyze_scene(scene: ImmersionScene) -> PointAnalysis | None:
     """All samples of a scene analysed in one batched pass, ``analyze_point``
-    on their stack; None for a scene without samples."""
-    return analyze_point(scene, np.stack(scene.samples)) if scene.samples else None
+    on their ``(S, m)`` stack; None for a scene without samples."""
+    return analyze_point(scene, scene.samples) if len(scene.samples) else None
 
 
 # ----------------------------------------------------------------------

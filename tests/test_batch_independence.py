@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from parageom import paracontact, theorems
-from parageom.errors import DegenerateFrame
+from parageom.errors import ChartLeak, DegenerateFrame
 from parageom.hypersurface import (
+    _chart_quality,
+    eval_immersion,
     hyperbola_scene,
     perturbed_scene,
     quadric_scene,
@@ -179,3 +181,93 @@ def test_pivot_floor_failures_are_kept_per_sample(monkeypatch):
     assert [describe(f) for f in analyze_scene(scene).pd.faults] == [message] * 3
     with pytest.raises(DegenerateFrame, match="pivot floor"):
         analyze_point(scene, scene.samples[0])
+
+
+def test_a_point_whose_jet_leaves_the_chart_fails_alone():
+    # The numeric chart value of u is 2.7e-15 > 0, the value of its q jet
+    # is 0: the row carries NaN, its frame test records it, and the other
+    # sample is analysed as if alone.
+    spec = random_quadric_spec(1, 0)
+    base = quadric_scene(spec, seed=0, num_samples=2)
+    hexes = ("-0x1.e97a63cdd8961p+0", "-0x1.707d5a506881ep-3", "-0x1.064bc1f29bd80p+0")
+    u = [float.fromhex(h) for h in hexes]
+    scene = quadric_scene(spec, seed=0, samples=[base.samples[0], u])
+    assert 0.0 < _chart_quality(scene, np.array(u)) < 1e-14
+    report = run_suite(scene, "METRIC")
+    assert report.skip_reasons == [None, "degenerate: DegenerateFrame: frame condition number nan"]
+    lone = run_suite(with_samples(scene, [base.samples[0]]), "METRIC")
+    assert report.worst[0] == lone.worst[0] and report.ok[0] == lone.ok[0]
+    point = analyze_point(scene, base.samples[0])
+    assert_same_analysis(analyze_scene(scene), 0, point, "sample 0")
+    with pytest.raises(ChartLeak, match="quadric value 0 <= 0 at chart point"):
+        analyze_point(scene, u)
+
+
+def boundary_points(scene, rng, rays=4, ulps=3):
+    """Points within ``ulps`` floats of where random tangent rays leave the
+    radial chart: each ray is bisected to the last float whose chart value
+    is positive."""
+    v, a = scene.params["basis"], scene.params["quadric"].A
+    points = []
+    while len(points) < rays * (2 * ulps + 1):
+        d = rng.normal(size=scene.chart_dim)
+        # y'Ay = 1 + t^2 c along u = t d, since the basis is A-orthogonal to x0.
+        c = (d @ v) @ a @ (d @ v)
+        if c >= 0.0:
+            continue
+        lo, hi = 0.0, 2.0 / np.sqrt(-c)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if _chart_quality(scene, mid * d) > 0.0 else (lo, mid)
+        t = lo
+        for _ in range(ulps):
+            t = np.nextafter(t, 0.0)
+        for _ in range(2 * ulps + 1):
+            points.append(t * d)
+            t = np.nextafter(t, np.inf)
+    return np.array(points)
+
+
+def test_rows_at_the_chart_boundary_fail_alone():
+    # Near the boundary the numeric chart value and the value of the q jet
+    # round to different signs; either way such a row fails alone and no
+    # exception leaves the analysis or a suite.
+    disagree = 0
+    for seed in range(20):
+        spec = random_quadric_spec(1, seed)
+        for label, scene in [
+            ("quadric n=0", quadric_scene(random_quadric_spec(0, seed), seed=seed, num_samples=2)),
+            ("quadric n=1", quadric_scene(spec, seed=seed, num_samples=2)),
+            ("perturbed n=1", perturbed_scene(spec, epsilon=0.1, seed=seed, num_samples=2)),
+        ]:
+            near = boundary_points(scene, np.random.default_rng([seed, 7]))
+            f, _ = eval_immersion(scene, near, order=1)
+            disagree += int(np.sum((_chart_quality(scene, near) > 0.0) & np.isnan(f[:, 0, 0])))
+            good = scene.samples
+            mixed = with_samples(scene, [good[0], *near, good[1]])
+            batch = analyze_scene(mixed)
+            assert batch.pd.faults[0] is None and batch.pd.faults[-1] is None, (seed, label)
+            for i, u in [(0, good[0]), (-1, good[1])]:
+                assert_same_analysis(batch, i, analyze_point(scene, u), f"{label} seed {seed}")
+            for theorem_id in theorems._BATTERIES:
+                for diagnostic in (False, True):
+                    run_suite(mixed, theorem_id, diagnostic=diagnostic, analyses=batch)
+            run_suite(mixed, "METRIC")
+    # Rows that a chart test built on the numeric value alone lets through.
+    assert disagree > 0
+
+
+@pytest.mark.parametrize("family", ["quadric", "perturbed"])
+def test_eval_immersion_gives_a_row_outside_the_chart_nan(family):
+    scene, good = mixed_scene()
+    if family == "perturbed":
+        spec, x0 = scene.params["quadric"], scene.params["base_point"]
+        scene = perturbed_scene(spec, 0.1, base_point=x0, samples=scene.samples)
+    outside = scene.samples[1]
+    f, c = eval_immersion(scene, np.stack([good[0], outside, good[1]]))
+    assert np.isnan(f[1]).all() and np.isnan(c[1]).all()
+    for i, u in [(0, good[0]), (2, good[1])]:
+        want_f, want_c = eval_immersion(scene, u)
+        assert np.array_equal(f[i], want_f) and np.array_equal(c[i], want_c), i
+    with pytest.raises(ChartLeak) as raised:
+        eval_immersion(scene, outside)
+    assert describe(raised.value) == "ChartLeak: quadric value -3 <= 0 at chart point"

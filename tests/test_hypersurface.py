@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 from parageom import jet_space
-from parageom.errors import ChartLeak, DegenerateFrame, GenerationError, ShapeError, failed
+from parageom.errors import (
+    ChartLeak,
+    DegenerateFrame,
+    GenerationError,
+    ShapeError,
+    failed,
+    no_failures,
+)
 from parageom.hypersurface import (
     CHART_Q_MIN,
     Frame,
+    ImmersionScene,
     Polynomial,
     derive_tensors,
     draw_samples,
@@ -462,6 +470,29 @@ def test_draw_samples_respects_chart():
     scene = quadric_scene(random_quadric_spec(2, 56), seed=22)
     for u in scene.samples:
         assert _chart_quality(scene, u) > 0.1
+
+
+def test_scene_samples_are_one_array_of_rows():
+    # Drawn or given, a scene's samples are one (S, m) float array, drawn
+    # rows in draw order; a scene built without samples has no rows.
+    scene = quadric_scene(random_quadric_spec(1, 58), seed=24, num_samples=4)
+    assert isinstance(scene.samples, np.ndarray) and scene.samples.shape == (4, 3)
+    drawn = draw_samples(scene, 24, 4)
+    assert isinstance(drawn, np.ndarray) and drawn.dtype == float
+    np.testing.assert_array_equal(drawn, scene.samples)
+    np.testing.assert_array_equal(draw_samples(scene, 24, 2), drawn[:2])
+    given = quadric_scene(random_quadric_spec(1, 58), seed=24, samples=[[0, 0, 0], [0.1, 0, 0]])
+    assert given.samples.dtype == float and given.samples.shape == (2, 3)
+    assert ImmersionScene("hyperbola", 0, {}).samples.shape == (0, 1)
+
+
+def test_failed_marks_each_recorded_failure():
+    for shape in [(), (3,), (2, 3)]:
+        faults = no_failures(shape)
+        assert failed(faults).shape == shape and not failed(faults).any()
+        faults.reshape(-1)[-1] = ChartLeak("x")
+        mask = failed(faults)
+        assert mask.dtype == bool and mask.sum() == 1 and mask.reshape(-1)[-1]
 
 
 def test_analysis_tests_each_point_against_the_chart_once(monkeypatch):
